@@ -81,9 +81,10 @@ func BenchmarkOCMatVec(b *testing.B) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
+	xs := [][]float64{x}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.MatVec(w, x); err != nil {
+		if _, err := core.MatVecBatch(w, xs, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -341,8 +342,9 @@ var benchBatchSizes = []int{1, 16, 64}
 
 // BenchmarkMatVecBatch measures the batched MVM path: a 512x243 weight
 // matrix programmed once (MR tuning is the slow, amortised step), then
-// activation frames streamed through with the matrix rows sharded across
-// workers — the oc.MatVecBatch row-sharding model.
+// activation frames streamed through with the frames sharded across
+// workers, one Applier per shard — the oc.MatVecBatch vector-sharding
+// model.
 func BenchmarkMatVecBatch(b *testing.B) {
 	core, err := oc.NewCore(4, 4, oc.Physical)
 	if err != nil {
@@ -370,11 +372,23 @@ func BenchmarkMatVecBatch(b *testing.B) {
 				}
 			}
 			b.Run(fmt.Sprintf("workers=%d/batch=%d", workers, batch), func(b *testing.B) {
+				ys := make([][]float64, batch)
+				for f := range ys {
+					ys[f] = make([]float64, pm.Rows())
+				}
 				for i := 0; i < b.N; i++ {
-					for f, x := range xs {
-						if _, err := pm.ApplyParallel(x, workers, oc.DeriveSeed(3, f)); err != nil {
-							b.Fatal(err)
+					err := oc.ShardRange(batch, workers, func(lo, hi int) error {
+						ap := pm.NewApplier()
+						defer ap.Release()
+						for f := lo; f < hi; f++ {
+							if err := ap.ApplySeededInto(ys[f], xs[f], oc.DeriveSeed(3, f)); err != nil {
+								return err
+							}
 						}
+						return nil
+					})
+					if err != nil {
+						b.Fatal(err)
 					}
 				}
 				b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "frames/sec")

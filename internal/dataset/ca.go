@@ -59,7 +59,8 @@ func CACompress(src *Synth, poolN int) (*Synth, error) {
 		if err != nil {
 			return nil, err
 		}
-		comp, err := ca.Compress(frame)
+		// The core is noise-free (Ideal), so the seed never draws.
+		comp, err := ca.CompressSeeded(frame, 0)
 		if err != nil {
 			return nil, err
 		}

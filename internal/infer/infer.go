@@ -17,11 +17,10 @@
 //
 //   - Conv2D: the input plane is unrolled into k² x InC patches (im2col)
 //     streamed one at a time through the programmed matrix via
-//     oc.ProgrammedMatrix.ApplySeededInto under DeriveSeed(s, L) — patch
-//     j draws its noise from the j-th child stream (the exact seeds a
-//     materialized ApplyBatchSeeded walk would assign), so the result is
-//     bit-identical for any worker count while the full n·oh·ow patch
-//     table is never built (docs/PERF.md).
+//     oc.Applier.ApplySeededInto under DeriveSeed(s, L) — patch j draws
+//     its noise from the j-th child stream DeriveSeed(DeriveSeed(s, L),
+//     j), so the result is bit-identical for any worker count while the
+//     full n·oh·ow patch table is never built (docs/PERF.md).
 //
 //   - Dense: each batch row is one activation vector through the same
 //     seeded streaming path.
@@ -39,11 +38,13 @@
 // kernels.Kernel.Reference draws.
 //
 // Relationship to nn.PhotonicExec: that executor is the training-eval
-// path (per-layer cores for Lightator-MX, shared-noise Apply, accuracy
-// experiments); this package is the serving path — seeded determinism,
-// full-scale weight normalisation, a quantized digital reference, and a
-// registry. The im2col/scale machinery intentionally mirrors it; a fix
-// to the layer mapping likely applies to both.
+// path (per-layer cores for Lightator-MX, a fixed internal seed chain,
+// accuracy experiments); this package is the serving path — a
+// caller-chosen seed, full-scale weight normalisation, a quantized
+// digital reference, and a registry. Both program their matrices with
+// oc.Core.ProgramCalibrated, so every optical MVM restores the per-row
+// defect calibration. The im2col/scale machinery intentionally mirrors
+// it; a fix to the layer mapping likely applies to both.
 //
 // See docs/INFER.md for the layer mapping, the accuracy-vs-compression
 // behaviour and the serving integration.
@@ -186,7 +187,8 @@ func Compile(core *oc.Core, name, desc string, net *nn.Sequential, inH, inW int)
 
 // buildMVMStage applies the full-scale normalisation split: the matrix is
 // programmed at w/sw (largest magnitude at ±1, the grid oc.Program
-// quantizes best) and sw is restored digitally together with the input
+// quantizes best, with the per-row defect calibration restored on every
+// apply) and sw is restored digitally together with the input
 // activation scale sx. wData layout: [rows][cols] flattened, rows =
 // len(bias).
 func buildMVMStage(core *oc.Core, layerName string, wData, bias []float64, sx float64) (stage, error) {
@@ -219,7 +221,7 @@ func buildMVMStage(core *oc.Core, layerName string, wData, bias []float64, sx fl
 			refW[r][c] = core.SnapWeight(v)
 		}
 	}
-	pm, err := core.Program(w)
+	pm, err := core.ProgramCalibrated(w)
 	if err != nil {
 		return stage{}, fmt.Errorf("%s: %w", layerName, err)
 	}
@@ -318,9 +320,8 @@ func (m *Model) walk(plane *sensor.Image, ref bool, seed int64, workers int) ([]
 // applyConv streams im2col patches through the programmed matrix (paper
 // Fig. 5 mapping: each 9-tap kernel slice occupies one arm, partial sums
 // combine in the summation tree). Patch j of the window-row-major walk
-// draws its noise from DeriveSeed(layerSeed, j) — the exact seeds the
-// former materialize-then-ApplyBatchSeeded walk assigned — but the patch
-// table is never built: each shard unrolls one patch at a time into a
+// draws its noise from DeriveSeed(layerSeed, j), but the patch table is
+// never built: each shard unrolls one patch at a time into a
 // pooled strip buffer and runs it through a pooled Applier, so per-patch
 // work allocates nothing — one layer pass allocates only the output
 // tensor and per-shard bookkeeping. ref selects the exact digital
@@ -467,7 +468,7 @@ func (m *Model) Reference(plane *sensor.Image) ([]float64, error) {
 // dst (len == pm.Rows() == len(refW)).
 func (st *stage) mvmInto(ap *oc.Applier, dst, vec []float64, ref bool, seed int64) error {
 	if !ref {
-		return ap.ApplySeededCalibratedInto(dst, vec, seed)
+		return ap.ApplySeededInto(dst, vec, seed)
 	}
 	// Preallocated to the vector length up front — the former batch walk
 	// grew its quantization buffer with append from zero capacity.

@@ -232,11 +232,10 @@ func (o *LinOp) place(out *sensor.Image, wy, wx int, y []float64, s float64) {
 }
 
 // Apply implements Kernel: the window walk streams each window through
-// the programmed matrix via oc.ApplySeededInto with the window's own
-// child seed — windows shard across workers with per-window noise
-// streams, exactly as the former materialize-then-ApplyBatchSeeded walk
-// did (window j still draws from oc.DeriveSeed(seed, j)), but without
-// building the full window table: each shard checks one pooled window,
+// the programmed matrix via oc.Applier.ApplySeededInto with the window's
+// own child seed — windows shard across workers with per-window noise
+// streams (window j draws from oc.DeriveSeed(seed, j)), without building
+// the full window table: each shard checks one pooled window,
 // destination buffer and Applier out for its whole range, so per-window
 // work allocates nothing — one Apply call allocates only the output
 // plane and per-shard bookkeeping.

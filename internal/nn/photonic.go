@@ -16,10 +16,13 @@ import (
 // the paper partitions them.
 //
 // This is the training-eval executor (Table 1 accuracy, Lightator-MX
-// per-layer cores, shared-noise Apply). The served inference path lives
-// in internal/infer, which mirrors this layer mapping with seeded
-// determinism and full-scale weight normalisation — a fix to the conv
-// patch walk or scale handling likely applies to both.
+// per-layer cores). Every MVM is a seeded, ABFT-verified,
+// defect-calibrated apply whose noise seed is a DeriveSeed chain over
+// (stage, sample, patch) from the fixed base photonicSeed, so Forward is
+// a pure function of its input in every fidelity. The served inference
+// path lives in internal/infer, which mirrors this layer mapping with a
+// caller-chosen seed and full-scale weight normalisation — a fix to the
+// conv patch walk or scale handling likely applies to both.
 type PhotonicExec struct {
 	ABits    int
 	Fidelity oc.Fidelity
@@ -27,6 +30,9 @@ type PhotonicExec struct {
 	stages []pStage
 	cores  map[int]*oc.Core // per weight-bit-width cores (Lightator-MX)
 }
+
+// photonicSeed is the base of every MVM seed chain Forward derives.
+const photonicSeed = 0x11647a70
 
 type pStageKind int
 
@@ -59,7 +65,7 @@ func NewPhotonicExec(net *Sequential, aBits int, fidelity oc.Fidelity) (*Photoni
 	for _, l := range net.Layers {
 		switch layer := l.(type) {
 		case *Conv2D:
-			st, err := pe.buildMVMStage(layer.W.Data, layer.B.Data, layer.WQuant, sx)
+			st, err := pe.buildMVMStage(layer.Name(), layer.W.Data, layer.B.Data, layer.WQuant, sx)
 			if err != nil {
 				return nil, fmt.Errorf("nn: photonic %s: %w", layer.Name(), err)
 			}
@@ -67,12 +73,11 @@ func NewPhotonicExec(net *Sequential, aBits int, fidelity oc.Fidelity) (*Photoni
 			st.conv = layer
 			pe.stages = append(pe.stages, st)
 		case *Dense:
-			st, err := pe.buildMVMStage(layer.W.Data, layer.B.Data, layer.WQuant, sx)
+			st, err := pe.buildMVMStage(layer.Name(), layer.W.Data, layer.B.Data, layer.WQuant, sx)
 			if err != nil {
 				return nil, fmt.Errorf("nn: photonic %s: %w", layer.Name(), err)
 			}
 			st.kind = pDense
-			st.pmDenseDims(layer)
 			pe.stages = append(pe.stages, st)
 		case *ActQuant:
 			if layer.Scale <= 0 {
@@ -87,10 +92,6 @@ func NewPhotonicExec(net *Sequential, aBits int, fidelity oc.Fidelity) (*Photoni
 	return pe, nil
 }
 
-// pmDenseDims is a marker hook kept for symmetry; dense geometry lives in
-// the programmed matrix itself.
-func (st *pStage) pmDenseDims(*Dense) {}
-
 func (pe *PhotonicExec) coreFor(wBits int) (*oc.Core, error) {
 	if c, ok := pe.cores[wBits]; ok {
 		return c, nil
@@ -103,9 +104,10 @@ func (pe *PhotonicExec) coreFor(wBits int) (*oc.Core, error) {
 	return c, nil
 }
 
-// buildMVMStage normalises weights to [-1,1] and programs them onto MRs.
-// wData layout: [rows][cols] flattened.
-func (pe *PhotonicExec) buildMVMStage(wData, bias []float64, wq *WeightQuant, sx float64) (pStage, error) {
+// buildMVMStage normalises weights to [-1,1] and programs them onto MRs
+// with the per-row defect calibration, as the health component
+// "photonic:<layer>". wData layout: [rows][cols] flattened.
+func (pe *PhotonicExec) buildMVMStage(name string, wData, bias []float64, wq *WeightQuant, sx float64) (pStage, error) {
 	if wq == nil {
 		// Photonic execution requires a weight grid; default to 4 bits.
 		wq = &WeightQuant{Bits: 4}
@@ -128,26 +130,30 @@ func (pe *PhotonicExec) buildMVMStage(wData, bias []float64, wq *WeightQuant, sx
 			m[r][i] = v
 		}
 	}
-	pm, err := core.Program(m)
+	pm, err := core.ProgramCalibrated(m)
 	if err != nil {
 		return pStage{}, err
 	}
+	pm.SetLabel("photonic:" + name)
 	b := append([]float64(nil), bias...)
 	return pStage{pm: pm, sw: sw, sx: sx, bias: b}, nil
 }
 
-// Forward runs a batch through the photonic pipeline.
+// Forward runs a batch through the photonic pipeline. Stage i seeds its
+// MVMs from DeriveSeed(photonicSeed, i), so the output depends on the
+// input alone, never on earlier calls.
 func (pe *PhotonicExec) Forward(x *Tensor) (*Tensor, error) {
 	var err error
 	for i := range pe.stages {
 		st := &pe.stages[i]
+		seed := oc.DeriveSeed(photonicSeed, i)
 		switch st.kind {
 		case pDigital:
 			x, err = st.layer.Forward(x, false)
 		case pDense:
-			x, err = st.applyDense(x)
+			x, err = st.applyDense(x, seed)
 		case pConv:
-			x, err = st.applyConv(x)
+			x, err = st.applyConv(x, seed)
 		}
 		if err != nil {
 			return nil, err
@@ -156,8 +162,9 @@ func (pe *PhotonicExec) Forward(x *Tensor) (*Tensor, error) {
 	return x, nil
 }
 
-// applyDense runs y = scale*(Wq/sw)(x/sx) * (sw*sx) + b photonically.
-func (st *pStage) applyDense(x *Tensor) (*Tensor, error) {
+// applyDense runs y = scale*(Wq/sw)(x/sx) * (sw*sx) + b photonically;
+// sample b draws its noise from DeriveSeed(seed, b).
+func (st *pStage) applyDense(x *Tensor, seed int64) (*Tensor, error) {
 	if len(x.Shape) != 2 {
 		return nil, fmt.Errorf("nn: photonic dense wants [N,D] input, got rank %d", len(x.Shape))
 	}
@@ -167,12 +174,14 @@ func (st *pStage) applyDense(x *Tensor) (*Tensor, error) {
 	}
 	out := NewTensor(n, st.pm.Rows())
 	vec := make([]float64, d)
+	y := make([]float64, st.pm.Rows())
+	ap := st.pm.NewApplier()
+	defer ap.Release()
 	for b := 0; b < n; b++ {
 		for i := 0; i < d; i++ {
 			vec[i] = x.At2(b, i) / st.sx
 		}
-		y, err := st.pm.ApplyCalibrated(vec)
-		if err != nil {
+		if err := ap.ApplySeededInto(y, vec, oc.DeriveSeed(seed, b)); err != nil {
 			return nil, err
 		}
 		for o, v := range y {
@@ -185,8 +194,9 @@ func (st *pStage) applyDense(x *Tensor) (*Tensor, error) {
 // applyConv runs the convolution as per-position photonic MVMs over
 // flattened patches (the paper's Fig. 5 mapping: each 9-tap kernel slice
 // occupies one arm; multi-channel kernels span multiple arms whose partial
-// sums combine in the summation stage).
-func (st *pStage) applyConv(x *Tensor) (*Tensor, error) {
+// sums combine in the summation stage). The patch at (oy, ox) of sample b
+// draws its noise from DeriveSeed(DeriveSeed(seed, b), oy*ow+ox).
+func (st *pStage) applyConv(x *Tensor, seed int64) (*Tensor, error) {
 	c := st.conv
 	if len(x.Shape) != 4 {
 		return nil, fmt.Errorf("nn: photonic conv wants NCHW input, got rank %d", len(x.Shape))
@@ -198,7 +208,11 @@ func (st *pStage) applyConv(x *Tensor) (*Tensor, error) {
 	oh, ow := c.OutHW(h, w)
 	out := NewTensor(n, c.OutC, oh, ow)
 	patch := make([]float64, c.InC*c.K*c.K)
+	y := make([]float64, c.OutC)
+	ap := st.pm.NewApplier()
+	defer ap.Release()
 	for b := 0; b < n; b++ {
+		sampleSeed := oc.DeriveSeed(seed, b)
 		for oy := 0; oy < oh; oy++ {
 			for ox := 0; ox < ow; ox++ {
 				i := 0
@@ -216,8 +230,7 @@ func (st *pStage) applyConv(x *Tensor) (*Tensor, error) {
 						}
 					}
 				}
-				y, err := st.pm.ApplyCalibrated(patch)
-				if err != nil {
+				if err := ap.ApplySeededInto(y, patch, oc.DeriveSeed(sampleSeed, oy*ow+ox)); err != nil {
 					return nil, err
 				}
 				for oc := 0; oc < c.OutC; oc++ {

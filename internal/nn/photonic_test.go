@@ -102,6 +102,50 @@ func TestPhotonicExecPhysicalClose(t *testing.T) {
 	}
 }
 
+// TestPhotonicExecForwardIsPure pins training-eval determinism: every MVM
+// draws a seed derived from (stage, sample, patch), so two Forward calls
+// on the same tensor are bit-identical in every fidelity — noisy included
+// — and the ABFT checks verifying each MVM raise no false alarms.
+func TestPhotonicExecForwardIsPure(t *testing.T) {
+	net := buildTinyQATNet(t, 4)
+	rng := rand.New(rand.NewSource(13))
+	x := NewTensor(2, 1, 8, 8)
+	for i := range x.Data {
+		x.Data[i] = rng.Float64()
+	}
+	for _, fid := range []oc.Fidelity{oc.Ideal, oc.Physical, oc.PhysicalNoisy} {
+		pe, err := NewPhotonicExec(net, 4, fid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := pe.Forward(x.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := pe.Forward(x.Clone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range a.Data {
+			if a.Data[i] != b.Data[i] {
+				t.Fatalf("%v: output %d differs across identical Forward calls: %g vs %g", fid, i, a.Data[i], b.Data[i])
+			}
+		}
+		checks := int64(0)
+		for _, core := range pe.cores {
+			for _, h := range core.Health().Snapshot() {
+				checks += h.Checks
+				if h.Detections != 0 {
+					t.Errorf("%v: %s raised %d ABFT detections", fid, h.Label, h.Detections)
+				}
+			}
+		}
+		if checks == 0 {
+			t.Errorf("%v: Forward ran no ABFT checks", fid)
+		}
+	}
+}
+
 func TestPhotonicExecMixedPrecision(t *testing.T) {
 	net := buildTinyQATNet(t, 3)
 	if err := SetLayerWeightBits(net, 0, 4); err != nil {

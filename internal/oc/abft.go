@@ -134,26 +134,14 @@ func (pm *ProgrammedMatrix) initABFT() error {
 		}
 	}
 	inv := 1 / float64(rows)
-	segLevels := make([]int, 0, len(mean))
+	chkLevels := make([]int, cols)
 	for j := range mean {
-		mean[j] *= inv
+		chkLevels[j] = c.bank.WeightToLevel(mean[j] * inv)
 	}
 	chk := make([]float64, cols)
 	for s := 0; s+1 < len(pm.armBounds); s++ {
 		lo, hi := pm.armBounds[s], pm.armBounds[s+1]
-		segLevels = segLevels[:0]
-		for _, v := range mean[lo:hi] {
-			segLevels = append(segLevels, c.bank.WeightToLevel(v))
-		}
-		var (
-			cf  []float64
-			err error
-		)
-		if c.Fidelity == Ideal {
-			cf, err = c.bank.IdealCoefficients(segLevels)
-		} else {
-			cf, err = c.bank.Coefficients(segLevels)
-		}
+		cf, err := c.armCoefficients(chkLevels[lo:hi])
 		if err != nil {
 			return err
 		}
@@ -249,13 +237,13 @@ func (pm *ProgrammedMatrix) compileFaults(plan *fault.Plan) {
 	pm.inj = &injector{byRow: byRow}
 }
 
-// perturb applies the active faults to rows [lo, hi) of a computed
-// output — the output-side formulation of coefficient, droop and
-// readout faults (Δc on coefficient (r,j) shifts y_r by exactly
-// Δc·xq_j). Retired rows are perturbed too; the overlay fix overwrites
-// them right after, modelling the retired hardware row being ignored.
-func (inj *injector) perturb(pm *ProgrammedMatrix, y, xq []float64, lo, hi int, seed int64) {
-	for r := lo; r < hi; r++ {
+// perturb applies the active faults to every row of a computed output —
+// the output-side formulation of coefficient, droop and readout faults
+// (Δc on coefficient (r,j) shifts y_r by exactly Δc·xq_j). Retired rows
+// are perturbed too; the overlay fix overwrites them right after,
+// modelling the retired hardware row being ignored.
+func (inj *injector) perturb(pm *ProgrammedMatrix, y, xq []float64, seed int64) {
+	for r := 0; r < pm.rows; r++ {
 		// Additive faults first, droop gains last: droop scales the whole
 		// optical readout, so a drifted coefficient on a drooping branch
 		// droops too — the same composition the recalibration model
@@ -292,13 +280,12 @@ func (pm *ProgrammedMatrix) digitalRow(r int, xq []float64) float64 {
 	return sum
 }
 
-// fix overwrites retired rows in [lo, hi) with their digital reference
-// values.
-func (ov *overlay) fix(pm *ProgrammedMatrix, y, xq []float64, lo, hi int) {
+// fix overwrites retired rows with their digital reference values.
+func (ov *overlay) fix(pm *ProgrammedMatrix, y, xq []float64) {
 	if ov.retiredCount == 0 {
 		return
 	}
-	for r := lo; r < hi; r++ {
+	for r := 0; r < pm.rows; r++ {
 		if ov.retired[r] {
 			y[r] = pm.digitalRow(r, xq)
 		}
@@ -348,7 +335,7 @@ func (pm *ProgrammedMatrix) expectedRow(ov *overlay, r int, xq []float64) float6
 
 // checkOnce runs one Σ-consistency verification of y (pre-defect values)
 // against the checksum row under the given apply seed. ns must be the
-// caller's pooled noise source in PhysicalNoisy fidelity.
+// caller's noise source in PhysicalNoisy fidelity.
 func (pm *ProgrammedMatrix) checkOnce(xq, y []float64, seed int64, ns *photonics.NoiseSource) bool {
 	ab := pm.abft
 	sum := 0.0
@@ -388,9 +375,11 @@ func (pm *ProgrammedMatrix) checkOnce(xq, y []float64, seed int64, ns *photonics
 
 // abftVerify is the verification + recovery entry point, called by every
 // seeded apply after the output rows (post-injection, pre-defect) are in
-// y. The no-fault path costs one stride hash and, on checked applies,
-// one extra row readout. On a failed check the ladder may recompute y in
-// place under fresh derived seeds and mutate the recovery overlay.
+// y, with the apply's own noise source (required in PhysicalNoisy
+// fidelity). The no-fault path costs one stride hash and, on checked
+// applies, one extra row readout. On a failed check the ladder may
+// recompute y in place under fresh derived seeds and mutate the recovery
+// overlay.
 func (pm *ProgrammedMatrix) abftVerify(xq, y []float64, seed int64, ns *photonics.NoiseSource) {
 	ab := pm.abft
 	if ab == nil {
@@ -398,11 +387,6 @@ func (pm *ProgrammedMatrix) abftVerify(xq, y []float64, seed int64, ns *photonic
 	}
 	if ab.stride > 1 && splitmix(uint64(seed))%ab.stride != 0 {
 		return
-	}
-	noisy := pm.core.Fidelity == PhysicalNoisy
-	if noisy && ns == nil {
-		ns = getNoise()
-		defer putNoise(ns)
 	}
 	pm.statAdd(statChecks, 1)
 	if pm.checkOnce(xq, y, seed, ns) {
@@ -414,7 +398,7 @@ func (pm *ProgrammedMatrix) abftVerify(xq, y []float64, seed int64, ns *photonic
 	// hash closed under the new seed and the check passes.
 	for attempt := 1; attempt <= abftMaxRetries; attempt++ {
 		rs := DeriveSeed(seed, abftRetrySalt+attempt)
-		pm.applySeededRangeNS(xq, y, 0, pm.rows, rs, ns)
+		pm.applyRows(xq, y, rs, ns)
 		if pm.checkOnce(xq, y, rs, ns) {
 			pm.statAdd(statRetrySuccesses, 1)
 			return
@@ -424,7 +408,7 @@ func (pm *ProgrammedMatrix) abftVerify(xq, y []float64, seed int64, ns *photonic
 	// from the repaired state.
 	pm.recoverPersistent(xq, y, seed, ns)
 	fs := DeriveSeed(seed, abftRetrySalt+abftMaxRetries+1)
-	pm.applySeededRangeNS(xq, y, 0, pm.rows, fs, ns)
+	pm.applyRows(xq, y, fs, ns)
 	if !pm.checkOnce(xq, y, fs, ns) {
 		pm.statAdd(statUnrecovered, 1)
 	}

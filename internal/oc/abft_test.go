@@ -71,14 +71,8 @@ func TestABFTNoFaultByteIdentity(t *testing.T) {
 		}
 		x := abftTestInput(cols)
 		for seed := int64(1); seed <= 16; seed++ {
-			a, err := on.ApplySeeded(x, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := off.ApplySeeded(x, seed)
-			if err != nil {
-				t.Fatal(err)
-			}
+			a := applySeeded(t, on, x, seed)
+			b := applySeeded(t, off, x, seed)
 			for r := range a {
 				if a[r] != b[r] {
 					t.Fatalf("%v seed %d row %d: ABFT changed bytes: %g != %g", fid, seed, r, a[r], b[r])
@@ -98,10 +92,7 @@ func TestABFTStuckCoeffRetires(t *testing.T) {
 	}}
 	c, pm := abftTestMatrix(t, Ideal, plan, "m")
 	x := abftTestInput(pm.Cols())
-	y, err := pm.ApplySeeded(x, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	y := applySeeded(t, pm, x, 7)
 	h := c.Health().Component("m")
 	if h.Detections.Load() == 0 {
 		t.Fatal("stuck coefficient not detected")
@@ -127,9 +118,7 @@ func TestABFTStuckCoeffRetires(t *testing.T) {
 	// Steady state: later applies pass their checks against the repaired
 	// state without new detections.
 	before := h.Detections.Load()
-	if _, err := pm.ApplySeeded(x, 8); err != nil {
-		t.Fatal(err)
-	}
+	applySeeded(t, pm, x, 8)
 	if h.Detections.Load() != before {
 		t.Fatal("repaired matrix re-detected the same fault")
 	}
@@ -145,10 +134,7 @@ func TestABFTDriftRecalibrates(t *testing.T) {
 	}}
 	c, pm := abftTestMatrix(t, Ideal, plan, "m")
 	x := abftTestInput(pm.Cols())
-	y, err := pm.ApplySeeded(x, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	y := applySeeded(t, pm, x, 11)
 	h := c.Health().Component("m")
 	if h.Detections.Load() == 0 {
 		t.Fatal("drift not detected")
@@ -181,9 +167,7 @@ func TestABFTLaserDroop(t *testing.T) {
 	}}
 	c, pm := abftTestMatrix(t, Ideal, small, "m")
 	x := abftTestInput(pm.Cols())
-	if _, err := pm.ApplySeeded(x, 3); err != nil {
-		t.Fatal(err)
-	}
+	applySeeded(t, pm, x, 3)
 	h := c.Health().Component("m")
 	if h.Recalibrations.Load() != 3 || h.RetiredRows.Load() != 0 {
 		t.Fatalf("small droop: recal %d retired %d, want 3/0", h.Recalibrations.Load(), h.RetiredRows.Load())
@@ -192,9 +176,7 @@ func TestABFTLaserDroop(t *testing.T) {
 		{Kind: fault.LaserDroop, Target: "m", Row: 2, RowEnd: 4, Value: 0.5},
 	}}
 	c2, pm2 := abftTestMatrix(t, Ideal, deep, "m")
-	if _, err := pm2.ApplySeeded(x, 3); err != nil {
-		t.Fatal(err)
-	}
+	applySeeded(t, pm2, x, 3)
 	h2 := c2.Health().Component("m")
 	if h2.RetiredRows.Load() != 3 || !pm2.Degraded() {
 		t.Fatalf("deep droop: retired %d degraded %v, want 3/true", h2.RetiredRows.Load(), pm2.Degraded())
@@ -212,9 +194,7 @@ func TestABFTTransientBitFlipRetries(t *testing.T) {
 	c, pm := abftTestMatrix(t, Ideal, plan, "m")
 	x := abftTestInput(pm.Cols())
 	for seed := int64(0); seed < 64; seed++ {
-		if _, err := pm.ApplySeeded(x, seed); err != nil {
-			t.Fatal(err)
-		}
+		applySeeded(t, pm, x, seed)
 	}
 	h := c.Health().Component("m")
 	if h.Detections.Load() == 0 {
@@ -234,9 +214,7 @@ func TestABFTNoisyFidelityNoFalseTrips(t *testing.T) {
 	c, pm := abftTestMatrix(t, PhysicalNoisy, nil, "m")
 	x := abftTestInput(pm.Cols())
 	for seed := int64(0); seed < 256; seed++ {
-		if _, err := pm.ApplySeeded(x, seed); err != nil {
-			t.Fatal(err)
-		}
+		applySeeded(t, pm, x, seed)
 	}
 	h := c.Health().Component("m")
 	if h.Checks.Load() == 0 {
@@ -283,9 +261,7 @@ func TestABFTNoisyDetectsStuck(t *testing.T) {
 	// Short matrices sample verification (stride > 1): drive applies
 	// until a check lands.
 	for seed := int64(0); seed < 256 && h.Checks.Load() == 0; seed++ {
-		if _, err := pm.ApplySeeded(x, seed); err != nil {
-			t.Fatal(err)
-		}
+		applySeeded(t, pm, x, seed)
 	}
 	if h.Checks.Load() == 0 {
 		t.Fatal("no check sampled in 256 applies")
@@ -294,14 +270,8 @@ func TestABFTNoisyDetectsStuck(t *testing.T) {
 		t.Fatalf("noisy stuck: detections %d retired %d", h.Detections.Load(), h.RetiredRows.Load())
 	}
 	// Steady state is seeded-reproducible.
-	a, err := pm.ApplySeeded(x, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := pm.ApplySeeded(x, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := applySeeded(t, pm, x, 33)
+	b := applySeeded(t, pm, x, 33)
 	for r := range a {
 		if a[r] != b[r] {
 			t.Fatalf("row %d not reproducible after repair: %g vs %g", r, a[r], b[r])
@@ -318,10 +288,24 @@ func TestABFTNoisyDetectsStuck(t *testing.T) {
 // is exactly why the chaos e2e suite asserts properties, not bytes,
 // through transitions.
 func TestABFTWorkerInvariantInjection(t *testing.T) {
-	mk := func() *ProgrammedMatrix {
+	w := make([][]float64, 32)
+	for r := range w {
+		w[r] = make([]float64, 18)
+		for j := range w[r] {
+			w[r][j] = math.Sin(float64(r*18+j+1)) * 0.9
+		}
+	}
+	xs := make([][]float64, 24)
+	for i := range xs {
+		xs[i] = abftTestInput(18)
+		xs[i][i%18] = 0.9
+	}
+	// MatVecBatch labels its matrix "mvm"; each worker count gets a fresh
+	// core so no state carries over.
+	batch := func(workers int) [][]float64 {
 		plan := &fault.Plan{Faults: []fault.Fault{
-			{Kind: fault.StuckCoeff, Target: "m", Row: 5, Col: 2, Value: 0.95},
-			{Kind: fault.BitFlip, Target: "m", Row: 9, Value: 0.5,
+			{Kind: fault.StuckCoeff, Target: "mvm", Row: 5, Col: 2, Value: 0.95},
+			{Kind: fault.BitFlip, Target: "mvm", Row: 9, Value: 0.5,
 				Window: fault.Window{Period: 4, Duty: 1, Salt: 2}},
 		}}
 		c, err := NewCore(4, 4, PhysicalNoisy)
@@ -330,35 +314,13 @@ func TestABFTWorkerInvariantInjection(t *testing.T) {
 		}
 		c.NoABFT = true
 		c.SetFaultPlan(plan)
-		w := make([][]float64, 32)
-		for r := range w {
-			w[r] = make([]float64, 18)
-			for j := range w[r] {
-				w[r][j] = math.Sin(float64(r*18+j+1)) * 0.9
-			}
-		}
-		pm, err := c.Program(w)
+		ys, err := c.MatVecBatch(w, xs, workers, 99)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm.SetLabel("m")
-		return pm
+		return ys
 	}
-	xs := make([][]float64, 24)
-	for i := range xs {
-		xs[i] = abftTestInput(18)
-		xs[i][i%18] = 0.9
-	}
-	pm1 := mk()
-	ys1, err := pm1.ApplyBatchSeeded(xs, 1, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm4 := mk()
-	ys4, err := pm4.ApplyBatchSeeded(xs, 4, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ys1, ys4 := batch(1), batch(4)
 	for i := range ys1 {
 		for r := range ys1[i] {
 			if ys1[i][r] != ys4[i][r] {

@@ -43,23 +43,3 @@ func TestApplySeededIntoAllocFree(t *testing.T) {
 		}
 	}
 }
-
-// TestApplyBatchSeededIntoSerialAllocFree pins the batch Into variant on
-// the inline (workers <= 1) path, where no goroutine bookkeeping exists
-// to allocate.
-func TestApplyBatchSeededIntoSerialAllocFree(t *testing.T) {
-	pm := poolTestMatrix(t, 8, 23, PhysicalNoisy)
-	xs := [][]float64{poolTestVector(23, 1), poolTestVector(23, 2)}
-	dst := [][]float64{make([]float64, 8), make([]float64, 8)}
-	if err := pm.ApplyBatchSeededInto(dst, xs, 1, 3); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := pm.ApplyBatchSeededInto(dst, xs, 1, 3); err != nil {
-			panic(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("serial ApplyBatchSeededInto allocates %.2f/op, want 0", allocs)
-	}
-}

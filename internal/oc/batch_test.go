@@ -44,6 +44,28 @@ func TestDeriveSeedDecorrelates(t *testing.T) {
 	}
 }
 
+// applySeeded is the allocating test convenience over the one-shot
+// seeded apply.
+func applySeeded(t testing.TB, pm *ProgrammedMatrix, x []float64, seed int64) []float64 {
+	t.Helper()
+	y := make([]float64, pm.Rows())
+	if err := pm.ApplySeededInto(y, x, seed); err != nil {
+		t.Fatal(err)
+	}
+	return y
+}
+
+// matVec is the single-vector MatVecBatch, the way the facade's MatVec
+// calls it.
+func matVec(t testing.TB, c *Core, w [][]float64, x []float64) []float64 {
+	t.Helper()
+	ys, err := c.MatVecBatch(w, [][]float64{x}, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ys[0]
+}
+
 func TestApplySeededReproducible(t *testing.T) {
 	core, err := NewCore(4, 4, PhysicalNoisy)
 	if err != nil {
@@ -54,27 +76,15 @@ func TestApplySeededReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	x := testVector(20, 2)
-	a, err := pm.ApplySeeded(x, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Interleave an unrelated noisy Apply: it must not perturb the
-	// seeded stream.
-	if _, err := pm.Apply(x); err != nil {
-		t.Fatal(err)
-	}
-	b, err := pm.ApplySeeded(x, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := applySeeded(t, pm, x, 99)
+	// Interleave a noisy apply under a different seed: it must not
+	// perturb the seeded stream.
+	c := applySeeded(t, pm, x, 100)
+	b := applySeeded(t, pm, x, 99)
 	for r := range a {
 		if a[r] != b[r] {
 			t.Fatalf("row %d differs across identical seeded calls: %g vs %g", r, a[r], b[r])
 		}
-	}
-	c, err := pm.ApplySeeded(x, 100)
-	if err != nil {
-		t.Fatal(err)
 	}
 	same := true
 	for r := range a {
@@ -87,61 +97,36 @@ func TestApplySeededReproducible(t *testing.T) {
 	}
 }
 
-func TestApplyParallelMatchesSerial(t *testing.T) {
+// TestMatVecBatchMatchesPerFrame pins the vector-sharded batch against
+// per-frame seeded applies in every fidelity and at every worker count:
+// frame i is exactly ApplySeededInto under DeriveSeed(seed, i).
+func TestMatVecBatchMatchesPerFrame(t *testing.T) {
 	for _, fid := range []Fidelity{Ideal, Physical, PhysicalNoisy} {
 		core, err := NewCore(4, 4, fid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pm, err := core.Program(testMatrix(17, 25, 3))
-		if err != nil {
-			t.Fatal(err)
+		w := testMatrix(17, 25, 6)
+		xs := make([][]float64, 5)
+		for i := range xs {
+			xs[i] = testVector(25, int64(10+i))
 		}
-		x := testVector(25, 4)
-		want, err := pm.ApplySeeded(x, 5)
+		pm, err := core.Program(w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 4, 8, 32, runtime.NumCPU()} {
-			got, err := pm.ApplyParallel(x, workers, 5)
+			ys, err := core.MatVecBatch(w, xs, workers, 77)
 			if err != nil {
 				t.Fatalf("%v workers=%d: %v", fid, workers, err)
 			}
-			for r := range want {
-				if got[r] != want[r] {
-					t.Fatalf("%v workers=%d row %d: %g != serial %g", fid, workers, r, got[r], want[r])
+			for i, x := range xs {
+				want := applySeeded(t, pm, x, DeriveSeed(77, i))
+				for r := range want {
+					if ys[i][r] != want[r] {
+						t.Fatalf("%v workers=%d frame %d row %d: batch %g != per-frame %g", fid, workers, i, r, ys[i][r], want[r])
+					}
 				}
-			}
-		}
-	}
-}
-
-func TestMatVecBatchMatchesPerFrame(t *testing.T) {
-	core, err := NewCore(4, 4, PhysicalNoisy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := testMatrix(6, 12, 6)
-	xs := make([][]float64, 5)
-	for i := range xs {
-		xs[i] = testVector(12, int64(10+i))
-	}
-	ys, err := core.MatVecBatch(w, xs, 4, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pm, err := core.Program(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, x := range xs {
-		want, err := pm.ApplySeeded(x, DeriveSeed(77, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for r := range want {
-			if ys[i][r] != want[r] {
-				t.Fatalf("frame %d row %d: batch %g != per-frame %g", i, r, ys[i][r], want[r])
 			}
 		}
 	}
@@ -158,36 +143,6 @@ func TestMatVecBatchErrors(t *testing.T) {
 	}
 	if _, err := core.MatVecBatch(w, [][]float64{{1, 2, 3}}, 2, 0); err == nil {
 		t.Error("length-mismatched activation accepted")
-	}
-}
-
-func TestCompressSeededMatchesCompressNoiseless(t *testing.T) {
-	for _, fid := range []Fidelity{Ideal, Physical} {
-		core, err := NewCore(4, 4, fid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ca, err := NewAcquisitor(core, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := &sensor.Frame{Rows: 8, Cols: 8, Codes: make([]uint8, 64)}
-		for i := range f.Codes {
-			f.Codes[i] = uint8(i % 16)
-		}
-		a, err := ca.Compress(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ca.CompressSeeded(f, 123)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range a.Pix {
-			if a.Pix[i] != b.Pix[i] {
-				t.Fatalf("%v: pixel %d differs: %g vs %g", fid, i, a.Pix[i], b.Pix[i])
-			}
-		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"lightator/internal/analog"
-	"lightator/internal/photonics"
 	"lightator/internal/sensor"
 )
 
@@ -111,23 +110,12 @@ func (a *Acquisitor) Degraded() bool { return a.pm.Degraded() }
 // applies trigger (see ProgrammedMatrix.ABFTChecksPer).
 func (a *Acquisitor) ABFTChecksPer(applies int64) int64 { return a.pm.ABFTChecksPer(applies) }
 
-// Compress runs the fused grayscale + average pooling over a raw Bayer
-// frame readout, producing a single-channel activation plane of size
-// (H/N) x (W/N) with values in [0, 1].
-//
-// In PhysicalNoisy fidelity Compress draws from the core's shared noise
-// source (see ProgrammedMatrix.Apply); concurrent frame streams should
-// use CompressSeeded instead.
-func (a *Acquisitor) Compress(f *sensor.Frame) (*sensor.Image, error) {
-	return a.compress(f, func(dst, window []float64, _ int) error {
-		return a.pm.applyInto(dst, window)
-	})
-}
-
-// CompressSeeded is Compress with deterministic noise: window j of the
-// output plane draws from a stream seeded with DeriveSeed(seed, j), so
-// the compressed frame is bit-identical for a given (frame, seed) no
-// matter how many frames are being compressed concurrently.
+// CompressSeeded runs the fused grayscale + average pooling over a raw
+// Bayer frame readout, producing a single-channel activation plane of
+// size (H/N) x (W/N) with values in [0, 1]. Window j of the output plane
+// is one seeded apply of the CA bank under DeriveSeed(seed, j), so the
+// compressed frame is bit-identical for a given (frame, seed) no matter
+// how many frames are being compressed concurrently.
 //
 // This is the per-frame hot path (every pipeline frame funnels through
 // it), so the walk is specialised: one scratch window per frame, CRC
@@ -137,7 +125,8 @@ func (a *Acquisitor) Compress(f *sensor.Frame) (*sensor.Image, error) {
 // 2^ABits - 1 == NumComparators — the quantization pass is skipped
 // outright: code/15 round-trips the 4-bit grid exactly
 // (Round(code/15·15)/15 == code/15 bit-for-bit), so quantization is the
-// identity. The golden tests pin all of this against the generic path.
+// identity. The golden tests pin all of this against the per-window
+// ApplySeededInto composition.
 func (a *Acquisitor) CompressSeeded(f *sensor.Frame, seed int64) (*sensor.Image, error) {
 	n := a.PoolN
 	if f.Rows%n != 0 || f.Cols%n != 0 {
@@ -146,11 +135,11 @@ func (a *Acquisitor) CompressSeeded(f *sensor.Frame, seed int64) (*sensor.Image,
 	outH, outW := f.Rows/n, f.Cols/n
 	out := sensor.NewImage(outH, outW, 1)
 	window := GetScratch(n * n)
-	xq := GetScratch(n * n)
 	y := GetScratch(1)
 	defer PutScratch(window)
-	defer PutScratch(xq)
 	defer PutScratch(y)
+	ap := a.pm.applier()
+	defer ap.Release()
 	// Intensity table: lut[c] is exactly Frame.Intensity's division for
 	// code c. Codes above the CRC range (impossible from ReadFrame, but
 	// reachable from hand-built frames) fall back to the live division.
@@ -159,11 +148,6 @@ func (a *Acquisitor) CompressSeeded(f *sensor.Frame, seed int64) (*sensor.Image,
 		lut[c] = float64(c) / float64(analog.NumComparators)
 	}
 	skipQuant := (1<<uint(a.core.ABits))-1 == analog.NumComparators
-	var ns *photonics.NoiseSource
-	if a.core.Fidelity == PhysicalNoisy {
-		ns = getNoise()
-		defer putNoise(ns)
-	}
 	for oy := 0; oy < outH; oy++ {
 		for ox := 0; ox < outW; ox++ {
 			i := 0
@@ -186,46 +170,14 @@ func (a *Acquisitor) CompressSeeded(f *sensor.Frame, seed int64) (*sensor.Image,
 			}
 			q := *window
 			if !skipQuant || overRange {
-				if err := a.pm.quantizeInto(*xq, *window); err != nil {
+				if err := a.pm.quantizeInto(*ap.xq, *window); err != nil {
 					return nil, err
 				}
-				q = *xq
+				q = *ap.xq
 			}
 			wseed := DeriveSeed(seed, oy*outW+ox)
-			a.pm.applySeededRangeNS(q, *y, 0, 1, wseed, ns)
-			a.pm.abftVerify(q, (*y)[:1], wseed, ns)
-			out.Set(oy, ox, 0, (*y)[0])
-		}
-	}
-	return out, nil
-}
-
-// compress walks the pooling windows, delegating each weighted sum to
-// apply (which receives a one-element destination and the window index
-// for seeding).
-func (a *Acquisitor) compress(f *sensor.Frame, apply func(dst, window []float64, j int) error) (*sensor.Image, error) {
-	n := a.PoolN
-	if f.Rows%n != 0 || f.Cols%n != 0 {
-		return nil, fmt.Errorf("oc: frame %dx%d not divisible by pool %d", f.Rows, f.Cols, n)
-	}
-	outH, outW := f.Rows/n, f.Cols/n
-	out := sensor.NewImage(outH, outW, 1)
-	window := GetScratch(n * n)
-	y := GetScratch(1)
-	defer PutScratch(window)
-	defer PutScratch(y)
-	for oy := 0; oy < outH; oy++ {
-		for ox := 0; ox < outW; ox++ {
-			i := 0
-			for dy := 0; dy < n; dy++ {
-				for dx := 0; dx < n; dx++ {
-					(*window)[i] = f.Intensity(oy*n+dy, ox*n+dx)
-					i++
-				}
-			}
-			if err := apply(*y, *window, oy*outW+ox); err != nil {
-				return nil, err
-			}
+			a.pm.applyRows(q, *y, wseed, ap.ns)
+			a.pm.abftVerify(q, *y, wseed, ap.ns)
 			out.Set(oy, ox, 0, (*y)[0])
 		}
 	}

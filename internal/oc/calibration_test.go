@@ -29,8 +29,8 @@ func randActivations(n int, seed int64) []float64 {
 
 // TestDefectCalibrationIdealZero: in Ideal fidelity the effective
 // coefficients ARE the programmed grid weights, so every per-row defect
-// constant is exactly zero and the calibrated apply path is bit-identical
-// to the plain one.
+// constant is exactly zero and a calibrated matrix applies bit-identically
+// to a plain one.
 func TestDefectCalibrationIdealZero(t *testing.T) {
 	core, err := NewCore(4, 4, Ideal)
 	if err != nil {
@@ -40,20 +40,18 @@ func TestDefectCalibrationIdealZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cpm, err := core.ProgramCalibrated(randWeightRows(4, 20, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for r, k := range pm.DefectCalibration() {
 		if k != 0 {
 			t.Fatalf("ideal fidelity row %d has nonzero defect %g", r, k)
 		}
 	}
 	x := randActivations(20, 5)
-	plain := make([]float64, 4)
-	calib := make([]float64, 4)
-	if err := pm.ApplySeededInto(plain, x, 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.ApplySeededCalibratedInto(calib, x, 9); err != nil {
-		t.Fatal(err)
-	}
+	plain := applySeeded(t, pm, x, 9)
+	calib := applySeeded(t, cpm, x, 9)
 	for r := range plain {
 		if plain[r] != calib[r] {
 			t.Fatalf("row %d: calibrated %v != plain %v in Ideal fidelity", r, calib[r], plain[r])
@@ -61,9 +59,9 @@ func TestDefectCalibrationIdealZero(t *testing.T) {
 	}
 }
 
-// TestCalibratedApplyRestoresDefect: in Physical fidelity the calibrated
-// output is exactly the plain output plus κ_r·Σxq, with κ from
-// DefectCalibration and the sum over the quantized activations.
+// TestCalibratedApplyRestoresDefect: in Physical fidelity a calibrated
+// matrix's output is exactly the plain matrix's output plus κ_r·Σxq, with
+// κ from DefectCalibration and the sum over the quantized activations.
 func TestCalibratedApplyRestoresDefect(t *testing.T) {
 	core, err := NewCore(4, 4, Physical)
 	if err != nil {
@@ -73,7 +71,11 @@ func TestCalibratedApplyRestoresDefect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kappa := pm.DefectCalibration()
+	cpm, err := core.ProgramCalibrated(randWeightRows(6, 30, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	kappa := cpm.DefectCalibration()
 	nonzero := false
 	for _, k := range kappa {
 		if k != 0 {
@@ -94,14 +96,8 @@ func TestCalibratedApplyRestoresDefect(t *testing.T) {
 		s += v
 	}
 
-	plain := make([]float64, 6)
-	calib := make([]float64, 6)
-	if err := pm.ApplySeededInto(plain, x, 13); err != nil {
-		t.Fatal(err)
-	}
-	if err := pm.ApplySeededCalibratedInto(calib, x, 13); err != nil {
-		t.Fatal(err)
-	}
+	plain := applySeeded(t, pm, x, 13)
+	calib := applySeeded(t, cpm, x, 13)
 	for r := range plain {
 		want := plain[r] + kappa[r]*s
 		if calib[r] != want {
@@ -113,8 +109,8 @@ func TestCalibratedApplyRestoresDefect(t *testing.T) {
 // TestCalibrationReducesWideRowError: the systematic crosstalk loss
 // accumulates linearly with programmed row width, so on a wide matrix the
 // calibrated output must sit far closer to the exact-grid (Ideal) result
-// than the uncalibrated one. This is the bug the calibrated serving path
-// fixes — wide dense rows drifting by Σ-many insertion-loss quanta.
+// than the uncalibrated one. This is the bug calibrated matrices fix —
+// wide dense rows drifting by Σ-many insertion-loss quanta.
 func TestCalibrationReducesWideRowError(t *testing.T) {
 	const rows, cols = 4, 180
 	w := randWeightRows(rows, cols, 17)
@@ -128,10 +124,7 @@ func TestCalibrationReducesWideRowError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := ipm.Apply(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := applySeeded(t, ipm, x, 0)
 
 	phys, err := NewCore(4, 4, Physical)
 	if err != nil {
@@ -141,14 +134,12 @@ func TestCalibrationReducesWideRowError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := ppm.Apply(x)
+	cpm, err := phys.ProgramCalibrated(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calib, err := ppm.ApplyCalibrated(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	plain := applySeeded(t, ppm, x, 0)
+	calib := applySeeded(t, cpm, x, 0)
 
 	errPlain, errCalib := 0.0, 0.0
 	for r := range ref {
@@ -161,8 +152,8 @@ func TestCalibrationReducesWideRowError(t *testing.T) {
 }
 
 // TestAnalogWeightsIntoMatchesCalibratedApply: the QAT forward operator
-// (effective weight matrix) must realise the same linear map as
-// Program + ApplyCalibrated — a dot product against the analog weights
+// (effective weight matrix) must realise the same linear map as a
+// ProgramCalibrated matrix's apply — a dot product against the analog weights
 // equals the calibrated optical output up to summation order.
 func TestAnalogWeightsIntoMatchesCalibratedApply(t *testing.T) {
 	const rows, cols = 5, 21
@@ -176,7 +167,7 @@ func TestAnalogWeightsIntoMatchesCalibratedApply(t *testing.T) {
 	for _, row := range w {
 		flat = append(flat, row...)
 	}
-	pm, err := core.Program(w)
+	pm, err := core.ProgramCalibrated(w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,10 +184,7 @@ func TestAnalogWeightsIntoMatchesCalibratedApply(t *testing.T) {
 	for i := range x {
 		x[i] = float64(rng.Intn(16)) / 15
 	}
-	want, err := pm.ApplyCalibrated(x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := applySeeded(t, pm, x, 0)
 	for r := 0; r < rows; r++ {
 		got := 0.0
 		for i, xi := range x {

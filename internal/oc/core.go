@@ -9,13 +9,14 @@
 // photodetector produces one signed partial MAC, and the summation tree
 // combines partial sums for kernels larger than one arm.
 //
-// The MVM hot path is allocation-free in steady state: programmed
-// coefficients live in one contiguous row-major array (applyRow is a
-// linear scan), quantization scratch comes from a shared sync.Pool
-// (GetScratch/PutScratch), per-row noise sources are pooled and re-seeded
-// in place, and the *Into variants (ApplySeededInto, ApplyBatchSeededInto)
-// write into caller-owned destinations. See docs/PERF.md for the hot-path
-// inventory and the determinism-preserving optimization rules.
+// Every MVM runs through one seeded apply body, Applier.ApplySeededInto
+// (ProgrammedMatrix.ApplySeededInto is its one-shot form). The hot path
+// is allocation-free in steady state: programmed coefficients live in one
+// contiguous row-major array (applyRow is a linear scan), quantization
+// scratch comes from a shared sync.Pool (GetScratch/PutScratch), per-row
+// noise sources are pooled and re-seeded in place, and results land in
+// caller-owned destinations. See docs/PERF.md for the hot-path inventory
+// and the determinism-preserving optimization rules.
 package oc
 
 import (
@@ -76,8 +77,7 @@ type Core struct {
 	// serving configuration.
 	NoABFT bool
 
-	bank  *photonics.BankModel
-	noise *photonics.NoiseSource
+	bank *photonics.BankModel
 	// faultPlan is the active fault-injection plan; matrices compile it
 	// at SetLabel time. Nil (the default) injects nothing.
 	faultPlan *fault.Plan
@@ -109,7 +109,6 @@ func NewCore(wBits, aBits int, fid Fidelity) (*Core, error) {
 		ABits:    aBits,
 		Fidelity: fid,
 		bank:     bm,
-		noise:    photonics.NewNoiseSource(0x11647a70),
 	}
 	levels := (int(1) << uint(aBits)) - 1
 	c.actGrid = make([]float64, levels+1)
@@ -187,8 +186,8 @@ func (c *Core) QuantizeActivation(x float64) float64 {
 
 // ProgrammedMatrix is a weight matrix mapped onto the optical core: each
 // row is split into 9-tap segments, each segment programmed onto one arm.
-// Programming is the expensive step (MR tuning); Apply streams activation
-// vectors through at modulation rate.
+// Programming is the expensive step (MR tuning); ApplySeededInto streams
+// activation vectors through at modulation rate.
 //
 // The programmed state is a CSR-style flat layout: one contiguous
 // row-major coefficient array plus the shared per-row segment boundary
@@ -220,11 +219,14 @@ type ProgrammedMatrix struct {
 	// analog-hostile. κ_r is exactly the rank-1 compensation a one-time
 	// per-row hardware calibration would measure (program the row, drive
 	// all channels at full scale, compare the readout to the expected
-	// value); the calibrated apply paths restore it digitally as
-	// κ_r·Σ_j x_j — one shared activation sum plus one MAC per row. In
-	// Ideal fidelity the effective coefficients are the grid weights and
-	// every κ_r is exactly 0.
+	// value); matrices programmed with ProgramCalibrated restore it
+	// digitally on every apply as κ_r·Σ_j x_j — one shared activation sum
+	// plus one MAC per row. In Ideal fidelity the effective coefficients
+	// are the grid weights and every κ_r is exactly 0.
 	rowDefect []float64
+	// calibrated is fixed at Program time: whether every apply restores
+	// rowDefect (ProgramCalibrated) or serves the raw analog readout.
+	calibrated bool
 
 	// Fault-tolerance state (abft.go). abft is the checksum-row state
 	// derived at Program time (nil when Core.NoABFT); label/health name
@@ -246,58 +248,30 @@ func (c *Core) Program(w [][]float64) (*ProgrammedMatrix, error) {
 	if len(w) == 0 || len(w[0]) == 0 {
 		return nil, fmt.Errorf("oc: empty weight matrix")
 	}
-	cols := len(w[0])
+	rows, cols := len(w), len(w[0])
 	pm := &ProgrammedMatrix{
-		core:   c,
-		rows:   len(w),
-		cols:   cols,
-		coeffs: make([]float64, len(w)*cols),
-		levels: make([]int, len(w)*cols),
+		core:      c,
+		rows:      rows,
+		cols:      cols,
+		coeffs:    make([]float64, rows*cols),
+		levels:    make([]int, rows*cols),
+		armBounds: armBounds(cols),
+		rowDefect: make([]float64, rows),
 	}
-	pm.armBounds = append(pm.armBounds, 0)
-	for start := mapping.MRsPerArm; start < cols; start += mapping.MRsPerArm {
-		pm.armBounds = append(pm.armBounds, start)
-	}
-	pm.armBounds = append(pm.armBounds, cols)
-	segLevels := make([]int, 0, mapping.MRsPerArm)
 	for r, row := range w {
 		if len(row) != cols {
 			return nil, fmt.Errorf("oc: ragged weight matrix at row %d", r)
 		}
-		base := r * cols
-		for s := 0; s+1 < len(pm.armBounds); s++ {
-			lo, hi := pm.armBounds[s], pm.armBounds[s+1]
-			segLevels = segLevels[:0]
-			for i, v := range row[lo:hi] {
-				if v < -1 || v > 1 {
-					return nil, fmt.Errorf("oc: weight %g at (%d,%d) outside [-1,1]", v, r, lo+i)
-				}
-				segLevels = append(segLevels, c.bank.WeightToLevel(v))
+		for i, v := range row {
+			if v < -1 || v > 1 {
+				return nil, fmt.Errorf("oc: weight %g at (%d,%d) outside [-1,1]", v, r, i)
 			}
-			var (
-				cf  []float64
-				err error
-			)
-			if c.Fidelity == Ideal {
-				cf, err = c.bank.IdealCoefficients(segLevels)
-			} else {
-				cf, err = c.bank.Coefficients(segLevels)
-			}
-			if err != nil {
-				return nil, err
-			}
-			copy(pm.coeffs[base+lo:base+hi], cf)
-			copy(pm.levels[base+lo:base+hi], segLevels)
 		}
-	}
-	pm.rowDefect = make([]float64, pm.rows)
-	for r := 0; r < pm.rows; r++ {
-		base := r * cols
-		sum := 0.0
-		for i := 0; i < cols; i++ {
-			sum += c.bank.LevelToWeight(pm.levels[base+i]) - pm.coeffs[base+i]
+		k, err := c.mapRow(pm.coeffs[r*cols:(r+1)*cols], pm.levels[r*cols:(r+1)*cols], row, 1, pm.armBounds)
+		if err != nil {
+			return nil, err
 		}
-		pm.rowDefect[r] = sum / float64(cols)
+		pm.rowDefect[r] = k
 	}
 	if !c.NoABFT {
 		if err := pm.initABFT(); err != nil {
@@ -305,6 +279,67 @@ func (c *Core) Program(w [][]float64) (*ProgrammedMatrix, error) {
 		}
 	}
 	return pm, nil
+}
+
+// ProgramCalibrated is Program for a matrix served with its per-row
+// defect calibration restored digitally: every apply returns
+// y = W*x + κ·Σxq (see DefectCalibration). This is the fidelity-true
+// path for wide programmed matrices — the systematic crosstalk loss,
+// which accumulates linearly with row width, is compensated by one
+// shared activation sum and one extra MAC per row. Noise and the
+// zero-mean crosstalk residual remain, so the optical-vs-reference gap
+// still isolates genuine analog error.
+func (c *Core) ProgramCalibrated(w [][]float64) (*ProgrammedMatrix, error) {
+	pm, err := c.Program(w)
+	if err != nil {
+		return nil, err
+	}
+	pm.calibrated = true
+	return pm, nil
+}
+
+// armBounds returns the segment boundaries of a cols-wide row: 0, 9, 18,
+// ..., cols — one arm per 9-tap span, the last one possibly partial.
+func armBounds(cols int) []int {
+	b := []int{0}
+	for start := mapping.MRsPerArm; start < cols; start += mapping.MRsPerArm {
+		b = append(b, start)
+	}
+	return append(b, cols)
+}
+
+// armCoefficients returns the effective transfer coefficients of one arm
+// programmed at the given levels: the exact grid weights in Ideal
+// fidelity, the crosstalk-true bank transfer otherwise.
+func (c *Core) armCoefficients(levels []int) ([]float64, error) {
+	if c.Fidelity == Ideal {
+		return c.bank.IdealCoefficients(levels)
+	}
+	return c.bank.Coefficients(levels)
+}
+
+// mapRow is the weight-mapping walk behind Program and
+// AnalogWeightsInto. It snaps one row of weights w/scale onto the bank
+// level grid into levels, writes every arm segment's effective
+// coefficients (segments bounded by bounds) into coeffs, and returns the
+// row's defect constant κ_r (see the rowDefect field).
+func (c *Core) mapRow(coeffs []float64, levels []int, w []float64, scale float64, bounds []int) (float64, error) {
+	for i, v := range w {
+		levels[i] = c.bank.WeightToLevel(v / scale)
+	}
+	for s := 0; s+1 < len(bounds); s++ {
+		lo, hi := bounds[s], bounds[s+1]
+		cf, err := c.armCoefficients(levels[lo:hi])
+		if err != nil {
+			return 0, err
+		}
+		copy(coeffs[lo:hi], cf)
+	}
+	sum := 0.0
+	for i, l := range levels {
+		sum += c.bank.LevelToWeight(l) - coeffs[i]
+	}
+	return sum / float64(len(w)), nil
 }
 
 // DefectCalibration returns the per-row defect calibration constants κ_r
@@ -387,44 +422,6 @@ func (pm *ProgrammedMatrix) applyRow(xq []float64, r int, ns *photonics.NoiseSou
 	return sum
 }
 
-// applyInto computes y = W*x into dst through the shared-noise path (see
-// Apply for the caveats).
-func (pm *ProgrammedMatrix) applyInto(dst, x []float64) error {
-	if len(dst) != pm.rows {
-		return fmt.Errorf("oc: destination length %d, want %d rows", len(dst), pm.rows)
-	}
-	xq := GetScratch(pm.cols)
-	defer PutScratch(xq)
-	if err := pm.quantizeInto(*xq, x); err != nil {
-		return err
-	}
-	var ns *photonics.NoiseSource
-	if pm.core.Fidelity == PhysicalNoisy {
-		ns = pm.core.noise
-	}
-	for r := 0; r < pm.rows; r++ {
-		dst[r] = pm.applyRow(*xq, r, ns)
-	}
-	return nil
-}
-
-// Apply computes y = W*x through the optical path. Activations are
-// clipped to [0,1] and quantized to the core's ABits. The result is in
-// normalised units: exact quantized W*x in Ideal fidelity, perturbed by
-// crosstalk and optionally noise otherwise.
-//
-// In PhysicalNoisy fidelity Apply draws from the core's shared noise
-// source, so it is neither safe for concurrent use nor reproducible
-// across interleavings; concurrent callers should use ApplySeeded or
-// ApplyParallel, which derive an independent stream per output row.
-func (pm *ProgrammedMatrix) Apply(x []float64) ([]float64, error) {
-	y := make([]float64, pm.rows)
-	if err := pm.applyInto(y, x); err != nil {
-		return nil, err
-	}
-	return y, nil
-}
-
 // DeriveSeed maps a base seed and an index to a decorrelated child seed
 // (SplitMix64 finalizer). The batched paths use it to give every frame —
 // and every output row within a frame — its own deterministic noise
@@ -439,25 +436,31 @@ func DeriveSeed(seed int64, i int) int64 {
 	return int64(z)
 }
 
-// ApplySeededInto computes y = W*x into dst (len == Rows), like
-// ApplySeeded but with a caller-owned destination: the steady-state hot
-// path allocates nothing — quantization scratch comes from the shared
-// pool and, in PhysicalNoisy fidelity, the per-row noise sources are
-// pooled and re-seeded in place (bit-identical streams to freshly
-// constructed sources). Safe for concurrent use on a shared
-// ProgrammedMatrix as long as destinations are disjoint.
-func (pm *ProgrammedMatrix) ApplySeededInto(dst, x []float64, seed int64) error {
-	if len(dst) != pm.rows {
-		return fmt.Errorf("oc: destination length %d, want %d rows", len(dst), pm.rows)
+// applyRows fills y with every output row against a caller-owned noise
+// source (ignored outside PhysicalNoisy fidelity, required inside it).
+// Row r's stream is DeriveSeed(seed, r), the source re-seeded in place —
+// bit-identical to a freshly constructed per-row source.
+func (pm *ProgrammedMatrix) applyRows(xq, y []float64, seed int64, ns *photonics.NoiseSource) {
+	if pm.core.Fidelity != PhysicalNoisy {
+		for r := 0; r < pm.rows; r++ {
+			y[r] = pm.applyRow(xq, r, nil)
+		}
+	} else {
+		for r := 0; r < pm.rows; r++ {
+			ns.Reseed(DeriveSeed(seed, r))
+			y[r] = pm.applyRow(xq, r, ns)
+		}
 	}
-	xq := GetScratch(pm.cols)
-	defer PutScratch(xq)
-	if err := pm.quantizeInto(*xq, x); err != nil {
-		return err
+	// Fault-injection tail (abft.go): both branches are the zero-cost
+	// no-op default — inj is nil without an active plan, the overlay
+	// pointer is nil until the recovery ladder retires or recalibrates a
+	// row.
+	if inj := pm.inj; inj != nil {
+		inj.perturb(pm, y, xq, seed)
 	}
-	pm.applySeededRange(*xq, dst, 0, pm.rows, seed)
-	pm.abftVerify(*xq, dst, seed, nil)
-	return nil
+	if ov := pm.ov.Load(); ov != nil {
+		ov.fix(pm, y, xq)
+	}
 }
 
 // addDefect applies the rank-1 defect compensation to a computed output:
@@ -474,115 +477,14 @@ func (pm *ProgrammedMatrix) addDefect(dst, xq []float64) {
 	}
 }
 
-// ApplySeededCalibratedInto is ApplySeededInto with the per-row defect
-// calibration restored digitally: y = W*x + κ·Σxq (see DefectCalibration).
-// This is the fidelity-true serving path for wide programmed matrices —
-// the systematic crosstalk loss, which accumulates linearly with row
-// width, is compensated by one shared activation sum and one extra MAC
-// per row. Noise and the zero-mean crosstalk residual remain, so the
-// optical-vs-reference gap still isolates genuine analog error. Same
-// determinism and concurrency contract as ApplySeededInto.
-func (pm *ProgrammedMatrix) ApplySeededCalibratedInto(dst, x []float64, seed int64) error {
-	if len(dst) != pm.rows {
-		return fmt.Errorf("oc: destination length %d, want %d rows", len(dst), pm.rows)
-	}
-	xq := GetScratch(pm.cols)
-	defer PutScratch(xq)
-	if err := pm.quantizeInto(*xq, x); err != nil {
-		return err
-	}
-	pm.applySeededRange(*xq, dst, 0, pm.rows, seed)
-	pm.abftVerify(*xq, dst, seed, nil)
-	pm.addDefect(dst, *xq)
-	return nil
-}
-
-// ApplyCalibrated computes y = W*x + κ·Σxq through the shared-noise path
-// (Apply's concurrency caveats) with the per-row defect calibration
-// restored digitally — the training-eval counterpart of
-// ApplySeededCalibratedInto.
-func (pm *ProgrammedMatrix) ApplyCalibrated(x []float64) ([]float64, error) {
-	y := make([]float64, pm.rows)
-	xq := GetScratch(pm.cols)
-	defer PutScratch(xq)
-	if err := pm.quantizeInto(*xq, x); err != nil {
-		return nil, err
-	}
-	var ns *photonics.NoiseSource
-	if pm.core.Fidelity == PhysicalNoisy {
-		ns = pm.core.noise
-	}
-	for r := 0; r < pm.rows; r++ {
-		y[r] = pm.applyRow(*xq, r, ns)
-	}
-	pm.addDefect(y, *xq)
-	return y, nil
-}
-
-// ApplySeeded computes y = W*x like Apply, but in PhysicalNoisy fidelity
-// the noise of output row r is drawn from an independent stream seeded
-// with DeriveSeed(seed, r). Two calls with the same inputs and seed are
-// bit-identical, regardless of what ran in between — the reproducibility
-// contract the batched pipeline is built on. Safe for concurrent use.
-// Allocation-sensitive callers should use ApplySeededInto.
-func (pm *ProgrammedMatrix) ApplySeeded(x []float64, seed int64) ([]float64, error) {
-	y := make([]float64, pm.rows)
-	if err := pm.ApplySeededInto(y, x, seed); err != nil {
-		return nil, err
-	}
-	return y, nil
-}
-
-// applySeededRange fills y[lo:hi] with seeded rows, drawing the noise
-// source (PhysicalNoisy only) from the shared pool for the duration of
-// the range.
-func (pm *ProgrammedMatrix) applySeededRange(xq, y []float64, lo, hi int, seed int64) {
-	if pm.core.Fidelity != PhysicalNoisy {
-		pm.applySeededRangeNS(xq, y, lo, hi, seed, nil)
-		return
-	}
-	ns := getNoise()
-	pm.applySeededRangeNS(xq, y, lo, hi, seed, ns)
-	putNoise(ns)
-}
-
-// applySeededRangeNS is applySeededRange against a caller-owned noise
-// source (ignored outside PhysicalNoisy fidelity, required inside it).
-// Row r's stream is DeriveSeed(seed, r), the source re-seeded in place —
-// bit-identical to a freshly constructed per-row source.
-func (pm *ProgrammedMatrix) applySeededRangeNS(xq, y []float64, lo, hi int, seed int64, ns *photonics.NoiseSource) {
-	if pm.core.Fidelity != PhysicalNoisy {
-		for r := lo; r < hi; r++ {
-			y[r] = pm.applyRow(xq, r, nil)
-		}
-	} else {
-		for r := lo; r < hi; r++ {
-			ns.Reseed(DeriveSeed(seed, r))
-			y[r] = pm.applyRow(xq, r, ns)
-		}
-	}
-	// Fault-injection tail (abft.go): both branches are the zero-cost
-	// no-op default — inj is nil without an active plan, the overlay
-	// pointer is nil until the recovery ladder retires or recalibrates a
-	// row.
-	if inj := pm.inj; inj != nil {
-		inj.perturb(pm, y, xq, lo, hi, seed)
-	}
-	if ov := pm.ov.Load(); ov != nil {
-		ov.fix(pm, y, xq, lo, hi)
-	}
-}
-
 // Applier is reusable per-goroutine scratch for repeated seeded applies
 // against one programmed matrix: the quantization buffer and (in
 // PhysicalNoisy fidelity) the per-row noise source are checked out of
 // the shared pools once and reused across calls, so tight apply loops —
 // the kernel window walk, the infer im2col stream, Landweber passes —
 // pay no pool traffic per call. Release returns the scratch when the
-// loop is done. Output is bit-identical to
-// ProgrammedMatrix.ApplySeededInto. Not safe for concurrent use: create
-// one Applier per goroutine; the underlying matrix may be shared
-// freely.
+// loop is done. Not safe for concurrent use: create one Applier per
+// goroutine; the underlying matrix may be shared freely.
 type Applier struct {
 	pm *ProgrammedMatrix
 	xq *[]float64
@@ -592,7 +494,14 @@ type Applier struct {
 // NewApplier builds an Applier bound to the matrix, drawing its scratch
 // from the shared pools.
 func (pm *ProgrammedMatrix) NewApplier() *Applier {
-	ap := &Applier{pm: pm, xq: GetScratch(pm.cols)}
+	ap := pm.applier()
+	return &ap
+}
+
+// applier checks an Applier's scratch out of the shared pools by value,
+// so one-shot callers keep it on the stack.
+func (pm *ProgrammedMatrix) applier() Applier {
+	ap := Applier{pm: pm, xq: GetScratch(pm.cols)}
 	if pm.core.Fidelity == PhysicalNoisy {
 		ap.ns = getNoise()
 	}
@@ -612,79 +521,51 @@ func (ap *Applier) Release() {
 	}
 }
 
-// ApplySeededInto computes y = W*x into dst exactly like
-// ProgrammedMatrix.ApplySeededInto, using the applier's own scratch.
+// ApplySeededInto computes y = W*x through the optical path into dst
+// (len == Rows) — the one apply body of the optical core. Activations
+// are clipped to [0,1] and quantized to the core's ABits. The result is
+// in normalised units: exact quantized W*x in Ideal fidelity, perturbed
+// by crosstalk and, in PhysicalNoisy fidelity, by noise drawn for output
+// row r from an independent stream seeded with DeriveSeed(seed, r). Two
+// calls with the same inputs and seed are bit-identical regardless of
+// what ran in between — the reproducibility contract every batched path
+// is built on. Active fault injection and the recovery overlay apply to
+// the rows, ABFT verifies them (abft.go), and a matrix programmed with
+// ProgramCalibrated finally gets its defect calibration restored.
 func (ap *Applier) ApplySeededInto(dst, x []float64, seed int64) error {
 	pm := ap.pm
 	if len(dst) != pm.rows {
 		return fmt.Errorf("oc: destination length %d, want %d rows", len(dst), pm.rows)
 	}
-	if err := pm.quantizeInto(*ap.xq, x); err != nil {
+	xq := *ap.xq
+	if err := pm.quantizeInto(xq, x); err != nil {
 		return err
 	}
-	pm.applySeededRangeNS(*ap.xq, dst, 0, pm.rows, seed, ap.ns)
-	pm.abftVerify(*ap.xq, dst, seed, ap.ns)
+	pm.applyRows(xq, dst, seed, ap.ns)
+	pm.abftVerify(xq, dst, seed, ap.ns)
+	if pm.calibrated {
+		pm.addDefect(dst, xq)
+	}
 	return nil
 }
 
-// ApplySeededCalibratedInto is ApplySeededInto via the applier's scratch,
-// with the per-row defect calibration restored digitally — bit-identical
-// to ProgrammedMatrix.ApplySeededCalibratedInto.
-func (ap *Applier) ApplySeededCalibratedInto(dst, x []float64, seed int64) error {
-	pm := ap.pm
-	if len(dst) != pm.rows {
-		return fmt.Errorf("oc: destination length %d, want %d rows", len(dst), pm.rows)
-	}
-	if err := pm.quantizeInto(*ap.xq, x); err != nil {
-		return err
-	}
-	pm.applySeededRangeNS(*ap.xq, dst, 0, pm.rows, seed, ap.ns)
-	pm.abftVerify(*ap.xq, dst, seed, ap.ns)
-	pm.addDefect(dst, *ap.xq)
-	return nil
-}
-
-// ApplyParallel computes y = W*x with the output rows sharded across up
-// to `workers` goroutines. Because every row's noise stream is seeded
-// independently (see ApplySeeded), the result is bit-identical to
-// ApplySeeded(x, seed) for any worker count. workers <= 1 runs serially.
-func (pm *ProgrammedMatrix) ApplyParallel(x []float64, workers int, seed int64) ([]float64, error) {
-	if workers > pm.rows {
-		workers = pm.rows
-	}
-	if workers <= 1 {
-		return pm.ApplySeeded(x, seed)
-	}
-	xq := GetScratch(pm.cols)
-	defer PutScratch(xq)
-	if err := pm.quantizeInto(*xq, x); err != nil {
-		return nil, err
-	}
-	y := make([]float64, pm.rows)
-	var wg sync.WaitGroup
-	chunk := (pm.rows + workers - 1) / workers
-	for lo := 0; lo < pm.rows; lo += chunk {
-		hi := lo + chunk
-		if hi > pm.rows {
-			hi = pm.rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			pm.applySeededRange(*xq, y, lo, hi, seed)
-		}(lo, hi)
-	}
-	wg.Wait()
-	pm.abftVerify(*xq, y, seed, nil)
-	return y, nil
+// ApplySeededInto is the one-shot form of Applier.ApplySeededInto: it
+// checks the scratch out of the shared pools for this call only, so the
+// steady state still allocates nothing. Safe for concurrent use on a
+// shared ProgrammedMatrix as long as destinations are disjoint.
+func (pm *ProgrammedMatrix) ApplySeededInto(dst, x []float64, seed int64) error {
+	ap := pm.applier()
+	err := ap.ApplySeededInto(dst, x, seed)
+	ap.Release()
+	return err
 }
 
 // ShardRange runs fn over [0, n) split into up to `workers` contiguous
 // chunks on separate goroutines, returning one of the chunk errors (if
 // any). fn must only touch disjoint state per index — the pattern every
-// seeded batch path (ApplyBatchSeeded, the kernel layer's per-window
-// loops) uses, where index i owns its own output slot and noise stream.
-// workers <= 1 runs inline.
+// seeded batch path (Core.MatVecBatch, the kernel layer's per-window
+// loops, the infer patch stream) uses, where index i owns its own output
+// slot and noise stream. workers <= 1 runs inline.
 func ShardRange(n, workers int, fn func(lo, hi int) error) error {
 	if workers > n {
 		workers = n
@@ -719,65 +600,6 @@ func ShardRange(n, workers int, fn func(lo, hi int) error) error {
 	return ferr
 }
 
-// ApplyBatchSeededInto streams a batch of activation vectors through the
-// programmed matrix into caller-owned destinations: dst[i] (len == Rows)
-// receives vector i's result, computed exactly as ApplyBatchSeeded would
-// — vector i draws its noise via DeriveSeed(seed, i), so the output is
-// bit-identical for any worker count. The steady-state path allocates
-// nothing beyond goroutine bookkeeping when workers > 1.
-func (pm *ProgrammedMatrix) ApplyBatchSeededInto(dst, xs [][]float64, workers int, seed int64) error {
-	if len(xs) == 0 {
-		return fmt.Errorf("oc: empty activation batch")
-	}
-	if len(dst) != len(xs) {
-		return fmt.Errorf("oc: destination batch length %d, want %d", len(dst), len(xs))
-	}
-	if workers <= 1 || len(xs) == 1 {
-		// Serial fast path: no shard closure, so the steady state stays
-		// allocation-free.
-		return pm.applyBatchRange(dst, xs, 0, len(xs), seed)
-	}
-	return ShardRange(len(xs), workers, func(lo, hi int) error {
-		return pm.applyBatchRange(dst, xs, lo, hi, seed)
-	})
-}
-
-// applyBatchRange runs vectors [lo, hi) of a batch into their
-// destinations — the per-shard body of ApplyBatchSeededInto.
-func (pm *ProgrammedMatrix) applyBatchRange(dst, xs [][]float64, lo, hi int, seed int64) error {
-	for i := lo; i < hi; i++ {
-		if err := pm.ApplySeededInto(dst[i], xs[i], DeriveSeed(seed, i)); err != nil {
-			return fmt.Errorf("oc: batch vector %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// ApplyBatchSeeded streams a batch of activation vectors through the
-// programmed matrix, sharding the vectors across up to `workers`
-// goroutines — the batch-level analogue of ApplyParallel's row sharding,
-// without reprogramming the matrix on every call. Vector i draws its
-// noise via ApplySeeded with DeriveSeed(seed, i), so the result is
-// bit-identical for any worker count and any interleaving: the same
-// reproducibility contract as MatVecBatch. The compressed-domain kernel
-// layer (internal/kernels) runs its pooling/convolution windows through
-// this path. Allocation-sensitive callers should use
-// ApplyBatchSeededInto.
-func (pm *ProgrammedMatrix) ApplyBatchSeeded(xs [][]float64, workers int, seed int64) ([][]float64, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("oc: empty activation batch")
-	}
-	ys := make([][]float64, len(xs))
-	flat := make([]float64, len(xs)*pm.rows)
-	for i := range ys {
-		ys[i] = flat[i*pm.rows : (i+1)*pm.rows : (i+1)*pm.rows]
-	}
-	if err := pm.ApplyBatchSeededInto(ys, xs, workers, seed); err != nil {
-		return nil, err
-	}
-	return ys, nil
-}
-
 // HeaterPower returns the total MR tuning power to hold this matrix, in
 // watts.
 func (pm *ProgrammedMatrix) HeaterPower() float64 {
@@ -804,7 +626,7 @@ func (c *Core) MeanHeaterPowerPerMR() float64 {
 // (w is scaled so its largest magnitude sits at ±1, programmed on the
 // bank level grid, and the factor restored), the per-fidelity crosstalk
 // of the 9-ring arm segments, and the rank-1 per-row defect calibration
-// κ_r the calibrated apply paths restore digitally.
+// κ_r that ProgramCalibrated matrices restore digitally.
 //
 // This is the forward operator for crosstalk-in-the-loop QAT: training a
 // network against out instead of the plain quantization grid (package
@@ -834,58 +656,24 @@ func (c *Core) AnalogWeightsInto(out, w []float64, rows, cols int) error {
 		}
 		return nil
 	}
-	segLevels := make([]int, 0, mapping.MRsPerArm)
+	bounds, levels := armBounds(cols), make([]int, cols)
 	for r := 0; r < rows; r++ {
-		base := r * cols
-		for lo := 0; lo < cols; lo += mapping.MRsPerArm {
-			hi := lo + mapping.MRsPerArm
-			if hi > cols {
-				hi = cols
-			}
-			segLevels = segLevels[:0]
-			for _, v := range w[base+lo : base+hi] {
-				segLevels = append(segLevels, c.bank.WeightToLevel(v/sw))
-			}
-			var (
-				cf  []float64
-				err error
-			)
-			if c.Fidelity == Ideal {
-				cf, err = c.bank.IdealCoefficients(segLevels)
-			} else {
-				cf, err = c.bank.Coefficients(segLevels)
-			}
-			if err != nil {
-				return err
-			}
-			copy(out[base+lo:base+hi], cf)
+		row := out[r*cols : (r+1)*cols]
+		k, err := c.mapRow(row, levels, w[r*cols:(r+1)*cols], sw, bounds)
+		if err != nil {
+			return err
 		}
-		// Per-row defect calibration, exactly as Program derives it.
-		defect := 0.0
-		for i := base; i < base+cols; i++ {
-			defect += c.bank.LevelToWeight(c.bank.WeightToLevel(w[i]/sw)) - out[i]
-		}
-		defect /= float64(cols)
-		for i := base; i < base+cols; i++ {
-			out[i] = (out[i] + defect) * sw
+		for i := range row {
+			row[i] = (row[i] + k) * sw
 		}
 	}
 	return nil
 }
 
-// MatVec is the one-shot convenience: program w, apply x once.
-func (c *Core) MatVec(w [][]float64, x []float64) ([]float64, error) {
-	pm, err := c.Program(w)
-	if err != nil {
-		return nil, err
-	}
-	return pm.Apply(x)
-}
-
 // MatVecBatch programs w once and streams a batch of activation vectors
-// through it, sharding the rows of the weight matrix across up to
-// `workers` goroutines per vector (the MR banks are programmed once; the
-// row shards model independent arms reading out in parallel). Frame i's
+// through it, sharding the vectors across up to `workers` goroutines
+// with one Applier per shard (the MR banks are programmed once; each
+// shard models an independent stream of frames through them). Frame i's
 // noise is seeded with DeriveSeed(seed, i), so the batch result is
 // bit-identical for any worker count and reproducible across runs.
 func (c *Core) MatVecBatch(w [][]float64, xs [][]float64, workers int, seed int64) ([][]float64, error) {
@@ -901,12 +689,19 @@ func (c *Core) MatVecBatch(w [][]float64, xs [][]float64, workers int, seed int6
 	// aggregate under that label.
 	pm.SetLabel("mvm")
 	ys := make([][]float64, len(xs))
-	for i, x := range xs {
-		y, err := pm.ApplyParallel(x, workers, DeriveSeed(seed, i))
-		if err != nil {
-			return nil, fmt.Errorf("oc: batch frame %d: %w", i, err)
+	err = ShardRange(len(xs), workers, func(lo, hi int) error {
+		ap := pm.NewApplier()
+		defer ap.Release()
+		for i := lo; i < hi; i++ {
+			ys[i] = make([]float64, pm.rows)
+			if err := ap.ApplySeededInto(ys[i], xs[i], DeriveSeed(seed, i)); err != nil {
+				return fmt.Errorf("oc: batch frame %d: %w", i, err)
+			}
 		}
-		ys[i] = y
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return ys, nil
 }

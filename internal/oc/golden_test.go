@@ -64,7 +64,10 @@ func goldenFrame() *sensor.Frame {
 
 // ocGolden is the serialized pinned output set per fidelity. JSON float64
 // round-trips are exact (shortest-form encoding), so comparisons are
-// bit-level.
+// bit-level. The keys predate the single apply body: apply_seeded pins
+// the one-shot ProgrammedMatrix.ApplySeededInto, apply_parallel the
+// reused Applier (the former row-sharded apply, which produced the same
+// bytes), and batch the vector-sharded Core.MatVecBatch.
 type ocGolden struct {
 	ApplySeeded   []float64   `json:"apply_seeded"`
 	ApplyParallel []float64   `json:"apply_parallel"`
@@ -108,8 +111,8 @@ func checkGolden(t *testing.T, path string, got any) {
 }
 
 // TestGoldenMVM pins the seeded MVM surface bit-for-bit in every fidelity:
-// ApplySeeded, ApplyParallel (3 workers), ApplyBatchSeeded (2 workers) and
-// the Acquisitor's CompressSeeded. The golden files were generated by the
+// both ApplySeededInto entry points, MatVecBatch (2 workers) and the
+// Acquisitor's CompressSeeded. The golden files were generated by the
 // pre-optimization implementation, so this is the determinism-preservation
 // proof for the flat-layout/pooled-noise hot path.
 func TestGoldenMVM(t *testing.T) {
@@ -125,15 +128,17 @@ func TestGoldenMVM(t *testing.T) {
 				t.Fatal(err)
 			}
 			x := goldenVector(23, 4242)
-			var g ocGolden
-			if g.ApplySeeded, err = pm.ApplySeeded(x, 0x5eed); err != nil {
-				t.Fatal(err)
+			g := ocGolden{
+				ApplySeeded:   applySeeded(t, pm, x, 0x5eed),
+				ApplyParallel: make([]float64, pm.Rows()),
 			}
-			if g.ApplyParallel, err = pm.ApplyParallel(x, 3, 0x5eed); err != nil {
+			ap := pm.NewApplier()
+			defer ap.Release()
+			if err := ap.ApplySeededInto(g.ApplyParallel, x, 0x5eed); err != nil {
 				t.Fatal(err)
 			}
 			xs := [][]float64{x, goldenVector(23, 777), goldenVector(23, 888)}
-			if g.Batch, err = pm.ApplyBatchSeeded(xs, 2, 0xabc); err != nil {
+			if g.Batch, err = core.MatVecBatch(w, xs, 2, 0xabc); err != nil {
 				t.Fatal(err)
 			}
 			ca, err := NewAcquisitor(core, 4)

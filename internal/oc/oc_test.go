@@ -40,7 +40,7 @@ func TestCoreValidation(t *testing.T) {
 		t.Error("out-of-range weight accepted")
 	}
 	if pm, _ := c.Program([][]float64{{0.5, 0.5}}); pm != nil {
-		if _, err := pm.Apply([]float64{1}); err == nil {
+		if err := pm.ApplySeededInto(make([]float64, 1), []float64{1}, 0); err == nil {
 			t.Error("length-mismatched input accepted")
 		}
 	}
@@ -76,10 +76,7 @@ func TestIdealMatVecExactQuantizedArithmetic(t *testing.T) {
 		{0.2, 0.4, -0.6, 0.8},
 	}
 	x := []float64{1, 0.5, 0.25, 0.75}
-	got, err := c.MatVec(w, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := matVec(t, c, w, x)
 	// Expected: quantize weights to 16 levels over [-1,1], activations to
 	// 16 levels over [0,1], then exact arithmetic.
 	qw := func(v float64) float64 { return -1 + 2*math.Round((v+1)/2*15)/15 }
@@ -111,14 +108,8 @@ func TestPhysicalTracksIdeal(t *testing.T) {
 	}
 	ci, _ := NewCore(4, 4, Ideal)
 	cp, _ := NewCore(4, 4, Physical)
-	yi, err := ci.MatVec(w, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yp, err := cp.MatVec(w, x)
-	if err != nil {
-		t.Fatal(err)
-	}
+	yi := matVec(t, ci, w, x)
+	yp := matVec(t, cp, w, x)
 	for r := range yi {
 		// 27 taps -> full scale ~27; crosstalk should stay within a few
 		// percent of full scale.
@@ -141,13 +132,10 @@ func TestNoisyFidelityPerturbsButTracks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, _ := pp.Apply(x)
+	base := applySeeded(t, pp, x, 0)
 	varied := false
 	for k := 0; k < 32; k++ {
-		y, err := pn.Apply(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		y := applySeeded(t, pn, x, int64(k))
 		if math.Abs(y[0]-base[0]) > 0.5 {
 			t.Fatalf("noise sample %d too large: %g vs %g", k, y[0], base[0])
 		}
@@ -217,7 +205,7 @@ func TestIdealQuantizationErrorBound(t *testing.T) {
 			w[0][i] = rng.Float64()*2 - 1
 			x[i] = rng.Float64()
 		}
-		got, err := c.MatVec(w, x)
+		got, err := c.MatVecBatch(w, [][]float64{x}, 1, 0)
 		if err != nil {
 			return false
 		}
@@ -225,7 +213,7 @@ func TestIdealQuantizationErrorBound(t *testing.T) {
 		// Worst-case per-tap error: half a weight step (1/15) times act
 		// <= 1, plus half an activation step (1/30) times |w| <= 1.
 		bound := 9 * (1.0/15 + 1.0/30)
-		return math.Abs(got[0]-want) <= bound
+		return math.Abs(got[0][0]-want) <= bound
 	}
 	if err := quick.Check(func() bool { return f() }, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -307,7 +295,7 @@ func TestAcquisitorCompressUniformScene(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ca.Compress(frame)
+	out, err := ca.CompressSeeded(frame, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +331,7 @@ func TestAcquisitorMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ca.Compress(frame)
+	got, err := ca.CompressSeeded(frame, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +366,7 @@ func TestAcquisitorPool4(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ca.Compress(frame)
+	out, err := ca.CompressSeeded(frame, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +384,7 @@ func TestAcquisitorRejectsIndivisibleFrame(t *testing.T) {
 	ca, _ := NewAcquisitor(core, 4)
 	arr, _ := sensor.NewArray(6, 6)
 	frame := arr.ReadFrame()
-	if _, err := ca.Compress(frame); err == nil {
+	if _, err := ca.CompressSeeded(frame, 0); err == nil {
 		t.Error("6x6 frame with pool 4 accepted")
 	}
 	if _, err := ca.Reference(frame); err == nil {

@@ -2,7 +2,7 @@
 // quantized copy of its activation vector and, in PhysicalNoisy fidelity,
 // one Gaussian stream per output row; allocating those per call made the
 // simulator GC-shaped instead of memory-bandwidth-shaped (docs/PERF.md).
-// The pools below let the steady-state *Into paths run allocation-free:
+// The pools below let the steady-state apply run allocation-free:
 // float64 scratch comes from a shared sync.Pool, and noise sources are
 // pooled and re-seeded in place (photonics.NoiseSource.Reseed), which
 // yields the exact same sample stream as constructing a fresh source —
@@ -49,7 +49,7 @@ func PutScratch(p *[]float64) {
 // ~5 KiB of state; constructing one per output row per frame dominated
 // the PhysicalNoisy allocation profile before pooling. Sources come out
 // of the pool in an arbitrary state — callers must Reseed before every
-// stream (applySeededRangeNS does, per row).
+// stream (applyRows does, per row).
 var noisePool = sync.Pool{New: func() any { return photonics.NewNoiseSource(0) }}
 
 // getNoise returns a pooled noise source (arbitrary state; reseed before

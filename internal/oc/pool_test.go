@@ -140,59 +140,29 @@ func TestScratchPoolRoundTrip(t *testing.T) {
 	PutScratch(q)
 }
 
-// TestApplySeededIntoMatchesApplySeeded pins the destination-passing
-// variant against the allocating one in every fidelity — same values,
-// same stream.
-func TestApplySeededIntoMatchesApplySeeded(t *testing.T) {
+// TestApplierMatchesOneShot pins the two entry points onto the one apply
+// body against each other in every fidelity: the one-shot
+// ProgrammedMatrix.ApplySeededInto and a reused Applier give the same
+// values and the same stream, whatever the applier applied before.
+func TestApplierMatchesOneShot(t *testing.T) {
 	for _, fid := range []Fidelity{Ideal, Physical, PhysicalNoisy} {
 		pm := poolTestMatrix(t, 13, 23, fid)
 		x := poolTestVector(23, 99)
-		want, err := pm.ApplySeeded(x, 0x5eed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst := make([]float64, pm.Rows())
-		if err := pm.ApplySeededInto(dst, x, 0x5eed); err != nil {
-			t.Fatal(err)
-		}
+		want := applySeeded(t, pm, x, 0x5eed)
 		ap := pm.NewApplier()
-		apDst := make([]float64, pm.Rows())
-		if err := ap.ApplySeededInto(apDst, x, 0x5eed); err != nil {
+		dst := make([]float64, pm.Rows())
+		for _, seed := range []int64{0x5eed, 1, 0x5eed} {
+			if err := ap.ApplySeededInto(dst, poolTestVector(23, seed), seed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := ap.ApplySeededInto(dst, x, 0x5eed); err != nil {
 			t.Fatal(err)
 		}
+		ap.Release()
 		for r := range want {
 			if dst[r] != want[r] {
-				t.Fatalf("%v: ApplySeededInto row %d: %g != %g", fid, r, dst[r], want[r])
-			}
-			if apDst[r] != want[r] {
-				t.Fatalf("%v: Applier row %d: %g != %g", fid, r, apDst[r], want[r])
-			}
-		}
-	}
-}
-
-// TestApplyBatchSeededIntoMatches pins the batch Into variant against
-// ApplyBatchSeeded for several worker counts.
-func TestApplyBatchSeededIntoMatches(t *testing.T) {
-	pm := poolTestMatrix(t, 7, 23, PhysicalNoisy)
-	xs := [][]float64{poolTestVector(23, 1), poolTestVector(23, 2), poolTestVector(23, 3), poolTestVector(23, 4), poolTestVector(23, 5)}
-	want, err := pm.ApplyBatchSeeded(xs, 1, 0xabc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 16} {
-		dst := make([][]float64, len(xs))
-		for i := range dst {
-			dst[i] = make([]float64, pm.Rows())
-		}
-		if err := pm.ApplyBatchSeededInto(dst, xs, workers, 0xabc); err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			for r := range want[i] {
-				if dst[i][r] != want[i][r] {
-					t.Fatalf("workers=%d vector %d row %d: %g != %g", workers, i, r, dst[i][r], want[i][r])
-				}
+				t.Fatalf("%v: Applier row %d: %g != one-shot %g", fid, r, dst[r], want[r])
 			}
 		}
 	}
@@ -207,25 +177,30 @@ func TestApplyIntoErrors(t *testing.T) {
 	if err := pm.ApplySeededInto(make([]float64, 4), poolTestVector(9, 7), 1); err == nil {
 		t.Error("short input accepted")
 	}
-	if err := pm.NewApplier().ApplySeededInto(make([]float64, 5), x, 1); err == nil {
+	ap := pm.NewApplier()
+	defer ap.Release()
+	if err := ap.ApplySeededInto(make([]float64, 5), x, 1); err == nil {
 		t.Error("applier: long destination accepted")
 	}
-	if err := pm.ApplyBatchSeededInto(nil, nil, 2, 1); err == nil {
+	if err := ap.ApplySeededInto(make([]float64, 4), poolTestVector(11, 7), 1); err == nil {
+		t.Error("applier: long input accepted")
+	}
+	w := make([][]float64, 4)
+	for r := range w {
+		w[r] = x
+	}
+	if _, err := pm.core.MatVecBatch(w, nil, 2, 1); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if err := pm.ApplyBatchSeededInto(make([][]float64, 1), [][]float64{x, x}, 2, 1); err == nil {
-		t.Error("mismatched destination batch accepted")
-	}
-	dst := [][]float64{make([]float64, 4), make([]float64, 2)}
-	if err := pm.ApplyBatchSeededInto(dst, [][]float64{x, x}, 2, 1); err == nil {
-		t.Error("short destination row accepted")
+	if _, err := pm.core.MatVecBatch(w, [][]float64{x, poolTestVector(9, 7)}, 2, 1); err == nil {
+		t.Error("short vector in a batch accepted")
 	}
 }
 
 // TestConcurrentSeededCallersSharedMatrix hammers one ProgrammedMatrix
-// from many goroutines mixing the pooled paths (ApplySeededInto, Applier,
-// batch) and checks every result against the serial answer — the -race
-// contract of the shared scratch arena and pooled noise sources.
+// from many goroutines mixing the two entry points (one-shot
+// ApplySeededInto and a per-goroutine Applier) and checks every result
+// against the serial answer — the -race contract of the shared scratch arena and pooled noise sources.
 func TestConcurrentSeededCallersSharedMatrix(t *testing.T) {
 	for _, fid := range []Fidelity{Ideal, PhysicalNoisy} {
 		pm := poolTestMatrix(t, 9, 23, fid)
@@ -233,11 +208,7 @@ func TestConcurrentSeededCallersSharedMatrix(t *testing.T) {
 		want := make([][]float64, len(xs))
 		for i := range xs {
 			xs[i] = poolTestVector(23, int64(100+i))
-			y, err := pm.ApplySeeded(xs[i], DeriveSeed(0x7777, i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want[i] = y
+			want[i] = applySeeded(t, pm, xs[i], DeriveSeed(0x7777, i))
 		}
 		var wg sync.WaitGroup
 		errc := make(chan error, 64)
@@ -299,17 +270,25 @@ func TestQuantizeNaNPropagates(t *testing.T) {
 	}
 }
 
-// TestCompressSeededNonCRCGrid drives the quantizing branch of the
-// specialised CompressSeeded walk (ABits != the CRC's 4 bits, so the
-// identity-quantization shortcut must not fire) and pins it against the
-// generic seeded apply composition.
+// TestCompressSeededNonCRCGrid pins the specialised CompressSeeded walk
+// against the documented per-window contract — window j is one seeded
+// apply of the CA bank under DeriveSeed(seed, j). The 3-bit cases drive
+// the quantizing branch (ABits != the CRC's 4 bits, so the
+// identity-quantization shortcut must not fire); the 4-bit noise-free
+// cases drive the shortcut itself.
 func TestCompressSeededNonCRCGrid(t *testing.T) {
-	for _, fid := range []Fidelity{Ideal, PhysicalNoisy} {
-		core, err := NewCore(4, 3, fid) // 3-bit activations: 7-level grid != 15 comparators
+	for _, tc := range []struct {
+		aBits, pool int
+		fid         Fidelity
+	}{
+		{3, 4, Ideal}, {3, 4, PhysicalNoisy}, // 7-level grid != 15 comparators
+		{4, 2, Ideal}, {4, 2, Physical},
+	} {
+		core, err := NewCore(4, tc.aBits, tc.fid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ca, err := NewAcquisitor(core, 4)
+		ca, err := NewAcquisitor(core, tc.pool)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -322,24 +301,21 @@ func TestCompressSeededNonCRCGrid(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Reference composition: the documented per-window contract.
-		window := make([]float64, 16)
-		for oy := 0; oy < 2; oy++ {
-			for ox := 0; ox < 2; ox++ {
+		n, outW := tc.pool, 8/tc.pool
+		window := make([]float64, n*n)
+		for oy := 0; oy < outW; oy++ {
+			for ox := 0; ox < outW; ox++ {
 				i := 0
-				for dy := 0; dy < 4; dy++ {
-					for dx := 0; dx < 4; dx++ {
-						window[i] = f.Intensity(oy*4+dy, ox*4+dx)
+				for dy := 0; dy < n; dy++ {
+					for dx := 0; dx < n; dx++ {
+						window[i] = f.Intensity(oy*n+dy, ox*n+dx)
 						i++
 					}
 				}
-				j := oy*2 + ox
-				y, err := ca.pm.ApplySeeded(window, DeriveSeed(0xfeed, j))
-				if err != nil {
-					t.Fatal(err)
-				}
+				j := oy*outW + ox
+				y := applySeeded(t, ca.pm, window, DeriveSeed(0xfeed, j))
 				if got.Pix[j] != y[0] {
-					t.Fatalf("%v: window %d: %g != %g", fid, j, got.Pix[j], y[0])
+					t.Fatalf("[4:%d] %v pool %d: window %d: %g != %g", tc.aBits, tc.fid, n, j, got.Pix[j], y[0])
 				}
 			}
 		}

@@ -63,21 +63,12 @@ func TestActivationClipping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inRange, err := pm.Apply([]float64{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	over, err := pm.Apply([]float64{10, 10, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
+	inRange := applySeeded(t, pm, []float64{1, 1, 1}, 0)
+	over := applySeeded(t, pm, []float64{10, 10, 10}, 0)
 	if over[0] != inRange[0] {
 		t.Errorf("over-range activations not clipped: %g vs %g", over[0], inRange[0])
 	}
-	under, err := pm.Apply([]float64{-5, -5, -5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	under := applySeeded(t, pm, []float64{-5, -5, -5}, 0)
 	if under[0] != 0 {
 		t.Errorf("negative activations should clip to zero light: %g", under[0])
 	}
@@ -105,10 +96,7 @@ func TestIdealGridExactness(t *testing.T) {
 	for l := 0; l < n; l++ {
 		x := make([]float64, n)
 		x[l] = 1
-		y, err := pm.Apply(x)
-		if err != nil {
-			t.Fatal(err)
-		}
+		y := applySeeded(t, pm, x, 0)
 		want := -1 + 2*float64(l)/float64(n-1)
 		if math.Abs(y[0]-want) > 1e-12 {
 			t.Errorf("level %d: got %g, want %g", l, y[0], want)

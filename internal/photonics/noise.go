@@ -21,7 +21,7 @@ func NewNoiseSource(seed int64) *NoiseSource {
 // to that of a freshly constructed source with seed s (the generator state
 // is fully determined by the seed, and the samplers carry no state of
 // their own). Hot paths that need one independent stream per output row
-// (oc.ApplySeeded) pool sources and reseed them instead of allocating a
+// (oc.Applier.ApplySeededInto) pool sources and reseed them instead of allocating a
 // new generator (~5 KiB of math/rand state) per stream. Not safe
 // concurrently with other methods on the same source.
 func (n *NoiseSource) Reseed(seed int64) {

@@ -148,17 +148,15 @@ func TestConcurrentCompressMatchesDirect(t *testing.T) {
 							fid, i, j, got[i].Pix[j], want[i].Pix[j])
 					}
 				}
-				// In noise-free fidelities the serial facade path must
-				// agree too.
-				if fid != lightator.PhysicalNoisy {
-					serial, err := acc.AcquireCompressed(scenes[i])
-					if err != nil {
-						t.Fatal(err)
-					}
-					for j := range serial.Pix {
-						if got[i].Pix[j] != serial.Pix[j] {
-							t.Fatalf("client %d: pixel %d differs from AcquireCompressed", i, j)
-						}
+				// The serial facade path must agree too: it is the
+				// one-scene batch under the same seed.
+				serial, err := acc.AcquireCompressed(scenes[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range serial.Pix {
+					if got[i].Pix[j] != serial.Pix[j] {
+						t.Fatalf("fidelity %v client %d: pixel %d differs from AcquireCompressed", fid, i, j)
 					}
 				}
 			}
@@ -373,7 +371,7 @@ func TestCaptureMatchesDirect(t *testing.T) {
 }
 
 // TestMatVecMatchesDirect checks /v1/matvec against the facade's seeded
-// batch path in every fidelity, and the serial path when noise-free.
+// batch path and its serial MatVec in every fidelity.
 func TestMatVecMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	weights := make([][]float64, 4)
@@ -387,7 +385,7 @@ func TestMatVecMatchesDirect(t *testing.T) {
 	for i := range x {
 		x[i] = rng.Float64()
 	}
-	for _, fid := range []lightator.Fidelity{lightator.Physical, lightator.PhysicalNoisy} {
+	for _, fid := range []lightator.Fidelity{lightator.Ideal, lightator.Physical, lightator.PhysicalNoisy} {
 		acc := testAccelerator(t, fid)
 		_, ts := testServer(t, acc, lightator.ServeOptions{Workers: 1})
 		want, err := acc.MatVecBatch(weights, [][]float64{x}, 1)
@@ -408,15 +406,13 @@ func TestMatVecMatchesDirect(t *testing.T) {
 				t.Fatalf("%v: output %d differs: %g vs %g", fid, i, resp.Output[i], want[0][i])
 			}
 		}
-		if fid != lightator.PhysicalNoisy {
-			serial, err := acc.MatVec(weights, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range serial {
-				if resp.Output[i] != serial[i] {
-					t.Fatalf("output %d differs from serial MatVec", i)
-				}
+		serial, err := acc.MatVec(weights, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range serial {
+			if resp.Output[i] != serial[i] {
+				t.Fatalf("%v: output %d differs from serial MatVec", fid, i)
 			}
 		}
 	}

@@ -357,22 +357,26 @@ func (a *Accelerator) Capture(scene *Image) (*Frame, error) {
 
 // AcquireCompressed captures a scene and runs the Compressive Acquisitor:
 // fused RGB-to-grayscale + average pooling in one optical pass (Eq. 1).
+// It is the one-scene AcquireCompressedBatch — the same seeded,
+// ABFT-verified path, so the result is reproducible in every fidelity.
 func (a *Accelerator) AcquireCompressed(scene *Image) (*Image, error) {
-	if a.ca == nil {
-		return nil, fmt.Errorf("lightator: compressive acquisition disabled (CAPool = 0)")
-	}
-	frame, err := a.array.Capture(scene)
+	out, err := a.AcquireCompressedBatch([]*Image{scene}, 1)
 	if err != nil {
 		return nil, err
 	}
-	return a.ca.Compress(frame)
+	return out[0], nil
 }
 
 // MatVec programs a weight matrix (entries in [-1,1]) onto the MR banks
 // and streams one activation vector (entries in [0,1]) through the
-// optical core, returning the analog MAC results.
+// optical core, returning the analog MAC results. It is the one-vector
+// MatVecBatch, so the result is reproducible in every fidelity.
 func (a *Accelerator) MatVec(weights [][]float64, activations []float64) ([]float64, error) {
-	return a.core.MatVec(weights, activations)
+	ys, err := a.MatVecBatch(weights, [][]float64{activations}, 1)
+	if err != nil {
+		return nil, err
+	}
+	return ys[0], nil
 }
 
 // PipelineOptions configure a batched concurrent pipeline on top of the
@@ -814,7 +818,7 @@ func (a *Accelerator) ModelAgreement(model string, frames int) (float64, error) 
 }
 
 // MatVecBatch programs the weight matrix once and streams a batch of
-// activation vectors through it, sharding the matrix rows across up to
+// activation vectors through it, sharding the vectors across up to
 // `workers` goroutines. Deterministic for a given Config.Seed. Every
 // MVM the facade serves — this path, the CA, kernels and inference —
 // funnels through the optical core's allocation-free seeded apply

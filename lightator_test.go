@@ -146,6 +146,22 @@ func TestMatVecThroughFacade(t *testing.T) {
 	if math.Abs(y[0]-want0) > 0.2 {
 		t.Errorf("y[0] = %g, want about %g", y[0], want0)
 	}
+	// The single-vector call is a one-vector MatVecBatch: its matrix
+	// reports under the "mvm" health component.
+	if componentHealth(acc, "mvm") == nil {
+		t.Error("MatVec registered no mvm health component")
+	}
+}
+
+// componentHealth returns the accelerator's health snapshot for label,
+// or nil when no such component is registered.
+func componentHealth(acc *Accelerator, label string) *ComponentHealth {
+	for _, h := range acc.Health() {
+		if h.Label == label {
+			return &h
+		}
+	}
+	return nil
 }
 
 func TestSimulateThroughFacade(t *testing.T) {
@@ -237,9 +253,11 @@ func TestCaptureBatchMatchesSerial(t *testing.T) {
 }
 
 func TestAcquireCompressedBatchMatchesSerial(t *testing.T) {
-	// Noiseless fidelities: the batch path must agree with the serial
-	// facade path bit-for-bit.
-	for _, fid := range []Fidelity{Ideal, Physical} {
+	// The serial facade call is the one-scene batch, bit-for-bit in
+	// every fidelity. Frame i of a larger batch draws frame i's seed, so
+	// it matches the serial call where the seed cannot matter (noise-free
+	// fidelities) or is the same (frame 0).
+	for _, fid := range []Fidelity{Ideal, Physical, PhysicalNoisy} {
 		acc := smallAccelerator(t, fid)
 		scenes := batchScenes(5, 16, 16)
 		batch, err := acc.AcquireCompressedBatch(scenes, 4)
@@ -251,12 +269,45 @@ func TestAcquireCompressedBatchMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			one, err := acc.AcquireCompressedBatch([]*Image{s}, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for j := range want.Pix {
-				if batch[i].Pix[j] != want.Pix[j] {
+				if one[0].Pix[j] != want.Pix[j] {
+					t.Fatalf("%v frame %d pixel %d: one-scene batch %g != serial %g", fid, i, j, one[0].Pix[j], want.Pix[j])
+				}
+				if (fid != PhysicalNoisy || i == 0) && batch[i].Pix[j] != want.Pix[j] {
 					t.Fatalf("%v frame %d pixel %d: batch %g != serial %g", fid, i, j, batch[i].Pix[j], want.Pix[j])
 				}
 			}
 		}
+	}
+
+	// On a full-size sensor the serial call runs exactly the ABFT checks
+	// the one-scene batch runs on the CA bank.
+	acc, err := New(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	scene := batchScenes(1, acc.Config().SensorRows, acc.Config().SensorCols)[0]
+	checks := func() int64 {
+		if h := componentHealth(acc, "ca"); h != nil {
+			return h.Checks
+		}
+		return 0
+	}
+	before := checks()
+	if _, err := acc.AcquireCompressed(scene); err != nil {
+		t.Fatal(err)
+	}
+	single := checks() - before
+	if _, err := acc.AcquireCompressedBatch([]*Image{scene}, 1); err != nil {
+		t.Fatal(err)
+	}
+	batch := checks() - before - single
+	if single == 0 || single != batch {
+		t.Fatalf("ca ABFT checks: AcquireCompressed +%d, one-scene batch +%d", single, batch)
 	}
 }
 

@@ -183,12 +183,12 @@ type ServeOptions struct {
 //
 //	/v1/capture  == Capture(scene)                                (all fidelities)
 //	/v1/compress == AcquireCompressedBatch([]{scene}, 1)          (all fidelities)
-//	             == AcquireCompressed(scene)                      (Ideal, Physical)
+//	             == AcquireCompressed(scene)                      (all fidelities)
 //	/v1/process  == ProcessCompressed(scene, kernel)              (all fidelities)
 //	/v1/infer    == Infer(scene, model)                           (all fidelities)
 //	             == InferPlane(plane, model)    (plane requests)  (all fidelities)
 //	/v1/matvec   == MatVecBatch(w, [][]float64{x}, 1)             (all fidelities)
-//	             == MatVec(w, x)                                  (Ideal, Physical)
+//	             == MatVec(w, x)                                  (all fidelities)
 //	/v1/simulate == Simulate(model)
 //
 // no matter how the micro-batcher coalesces concurrent requests. Requests
