@@ -345,6 +345,14 @@ func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int)
 	// x/1 == x bit-for-bit, so the first-layer common case (the plane
 	// arrives in the sensor's [0,1] range, sx == 1) skips the division.
 	divSx := st.sx != 1
+	// The reference gathers from the input quantized once, padding with
+	// the grid's zero level, rather than re-quantizing every patch.
+	src, pad := x.Data, 0.0
+	if ref {
+		q := st.quantizedInput(x.Data)
+		defer oc.PutScratch(q)
+		src, pad, divSx = *q, st.core.QuantizeActivation(0), false
+	}
 	err := oc.ShardRange(n*oh*ow, workers, func(lo, hi int) error {
 		var ap *oc.Applier
 		if !ref {
@@ -364,7 +372,7 @@ func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int)
 					iy := oy*c.Stride + ky - c.Pad
 					if iy < 0 || iy >= h {
 						for kx := 0; kx < c.K; kx++ {
-							(*patch)[i] = 0
+							(*patch)[i] = pad
 							i++
 						}
 						continue
@@ -373,8 +381,8 @@ func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int)
 					for kx := 0; kx < c.K; kx++ {
 						ix := ox*c.Stride + kx - c.Pad
 						if ix < 0 || ix >= w {
-							(*patch)[i] = 0
-						} else if v := x.Data[rowBase+ix]; divSx {
+							(*patch)[i] = pad
+						} else if v := src[rowBase+ix]; divSx {
 							(*patch)[i] = v / st.sx
 						} else {
 							(*patch)[i] = v
@@ -416,6 +424,12 @@ func (st *stage) applyDense(x *nn.Tensor, ref bool, layerSeed int64, workers int
 	out := nn.NewTensor(n, rows)
 	restore := st.sw * st.sx
 	divSx := st.sx != 1 // x/1 == x bit-for-bit, skip the division
+	src := x.Data
+	if ref {
+		q := st.quantizedInput(x.Data)
+		defer oc.PutScratch(q)
+		src, divSx = *q, false
+	}
 	err := oc.ShardRange(n, workers, func(lo, hi int) error {
 		var ap *oc.Applier
 		if !ref {
@@ -427,13 +441,13 @@ func (st *stage) applyDense(x *nn.Tensor, ref bool, layerSeed int64, workers int
 		defer oc.PutScratch(vec)
 		defer oc.PutScratch(y)
 		for b := lo; b < hi; b++ {
-			src := x.Data[b*d : (b+1)*d]
+			row := src[b*d : (b+1)*d]
 			if divSx {
-				for i, v := range src {
+				for i, v := range row {
 					(*vec)[i] = v / st.sx
 				}
 			} else {
-				copy(*vec, src)
+				copy(*vec, row)
 			}
 			if err := st.mvmInto(ap, *y, *vec, ref, oc.DeriveSeed(layerSeed, b)); err != nil {
 				return err
@@ -461,27 +475,33 @@ func (m *Model) Reference(plane *sensor.Image) ([]float64, error) {
 	return m.walk(plane, true, 0, 1)
 }
 
+// quantizedInput returns a stage input as the reference reads it: every
+// activation normalised by sx and snapped to the activation grid once
+// (QuantizeActivation), in a pooled buffer the caller releases.
+func (st *stage) quantizedInput(data []float64) *[]float64 {
+	q := oc.GetScratch(len(data))
+	for i, v := range data {
+		if st.sx != 1 {
+			v /= st.sx
+		}
+		(*q)[i] = st.core.QuantizeActivation(v)
+	}
+	return q
+}
+
 // mvmInto executes one normalised activation vector either through the
 // optical core (seeded, via the shard's reusable Applier) or through the
-// exact digital quantized reference (grid weights times grid
-// activations, plain arithmetic; ap may be nil), writing the result into
-// dst (len == pm.Rows() == len(refW)).
+// exact digital quantized reference (grid weights times the already
+// grid-quantized activations of quantizedInput, plain arithmetic; ap may
+// be nil), writing the result into dst (len == pm.Rows() == len(refW)).
 func (st *stage) mvmInto(ap *oc.Applier, dst, vec []float64, ref bool, seed int64) error {
 	if !ref {
 		return ap.ApplySeededInto(dst, vec, seed)
 	}
-	// Preallocated to the vector length up front — the former batch walk
-	// grew its quantization buffer with append from zero capacity.
-	xq := oc.GetScratch(len(vec))
-	defer oc.PutScratch(xq)
-	for i, v := range vec {
-		(*xq)[i] = st.core.QuantizeActivation(v)
-	}
-	q := *xq
 	for r, row := range st.refW {
 		sum := 0.0
 		for c, w := range row {
-			sum += w * q[c]
+			sum += w * vec[c]
 		}
 		dst[r] = sum
 	}

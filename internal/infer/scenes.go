@@ -9,44 +9,73 @@ import (
 	"lightator/internal/sensor"
 )
 
-// DiskScenes builds n structured RGB test scenes: a bright disk jittered
-// across a dim background. Uniform-random scenes average out to a
-// near-constant CA plane (every frame lands on the same logits, making
+// Disks is a sequence of structured RGB test scenes: a bright disk
+// jittered across a dim background. Uniform-random scenes average out to
+// a near-constant CA plane (every frame lands on the same logits, making
 // top-1 agreement degenerate); a moving structure keeps the per-frame
 // planes — and classifications — distinct. The bench's agreement sweep,
 // the serving-time agreement report and ActQuant calibration all draw
 // from this generator so they measure the same input statistics.
-func DiskScenes(n, rows, cols int, seed int64) []*sensor.Image {
+//
+// Only the disks' geometry is drawn up front; Scene renders one frame on
+// demand, so a sweep keeps one full-resolution scene live at a time.
+type Disks struct {
+	rows, cols int
+	disks      []disk
+}
+
+// disk is one scene's bright disk: centre (cy, cx) and radius r.
+type disk struct{ cy, cx, r float64 }
+
+// NewDisks draws the disk geometry of n rows x cols scenes from seed.
+func NewDisks(n, rows, cols int, seed int64) *Disks {
 	rng := rand.New(rand.NewSource(seed))
-	scenes := make([]*sensor.Image, n)
-	for i := range scenes {
-		s := sensor.NewImage(rows, cols, 3)
-		for j := range s.Pix {
-			s.Pix[j] = 0.1
-		}
+	d := &Disks{rows: rows, cols: cols, disks: make([]disk, n)}
+	for i := range d.disks {
 		cy := float64(rng.Intn(rows))
 		cx := float64(rng.Intn(cols))
 		r := float64(rows) * (0.1 + 0.2*rng.Float64())
-		for y := 0; y < rows; y++ {
-			for x := 0; x < cols; x++ {
-				dy, dx := float64(y)-cy, float64(x)-cx
-				if dy*dy+dx*dx < r*r {
-					for c := 0; c < 3; c++ {
-						s.Pix[(y*cols+x)*3+c] = 0.9
-					}
+		d.disks[i] = disk{cy, cx, r}
+	}
+	return d
+}
+
+// Scene renders scene i into a fresh image.
+func (d *Disks) Scene(i int) *sensor.Image {
+	k := d.disks[i]
+	s := sensor.NewImage(d.rows, d.cols, 3)
+	for j := range s.Pix {
+		s.Pix[j] = 0.1
+	}
+	for y := 0; y < d.rows; y++ {
+		for x := 0; x < d.cols; x++ {
+			dy, dx := float64(y)-k.cy, float64(x)-k.cx
+			if dy*dy+dx*dx < k.r*k.r {
+				for c := 0; c < 3; c++ {
+					s.Pix[(y*d.cols+x)*3+c] = 0.9
 				}
 			}
 		}
-		scenes[i] = s
+	}
+	return s
+}
+
+// DiskScenes renders every scene of NewDisks(n, rows, cols, seed).
+func DiskScenes(n, rows, cols int, seed int64) []*sensor.Image {
+	d := NewDisks(n, rows, cols, seed)
+	scenes := make([]*sensor.Image, n)
+	for i := range scenes {
+		scenes[i] = d.Scene(i)
 	}
 	return scenes
 }
 
 // CalibrationPlanes produces batch fidelity-true compressed planes of
-// h x w: DiskScenes captured by the ADC-less sensor and compressed by
-// the CA on core — exactly the measurement statistics the serving path
-// feeds a model, unlike synthetic uniform noise (which concentrates
-// around the window mean and under-ranges every activation scale).
+// h x w: Disks scenes, rendered one at a time, captured by the ADC-less
+// sensor and compressed by the CA on core — exactly the measurement
+// statistics the serving path feeds a model, unlike synthetic uniform
+// noise (which concentrates around the window mean and under-ranges
+// every activation scale).
 func CalibrationPlanes(core *oc.Core, poolN, h, w, batch int, seed int64) ([]*sensor.Image, error) {
 	arr, err := sensor.NewArray(h*poolN, w*poolN)
 	if err != nil {
@@ -56,10 +85,10 @@ func CalibrationPlanes(core *oc.Core, poolN, h, w, batch int, seed int64) ([]*se
 	if err != nil {
 		return nil, fmt.Errorf("infer: calibration CA: %w", err)
 	}
-	scenes := DiskScenes(batch, h*poolN, w*poolN, seed)
+	scenes := NewDisks(batch, h*poolN, w*poolN, seed)
 	planes := make([]*sensor.Image, batch)
-	for i, s := range scenes {
-		frame, err := arr.Capture(s)
+	for i := range planes {
+		frame, err := arr.Capture(scenes.Scene(i))
 		if err != nil {
 			return nil, fmt.Errorf("infer: calibration capture: %w", err)
 		}

@@ -1,6 +1,7 @@
 package infer
 
 import (
+	"math/rand"
 	"testing"
 
 	"lightator/internal/oc"
@@ -74,6 +75,60 @@ func TestDiskScenesDeterministic(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical scenes")
+	}
+}
+
+// TestDisksRenderOnDemand: rendering scene i on demand — in any order —
+// reproduces the scene the draw-and-render-in-one-loop generator built
+// (disk i's draws interleaved with rendering, which consumes no rng),
+// and DiskScenes(n)[i] is that scene, for several seeds and sizes.
+func TestDisksRenderOnDemand(t *testing.T) {
+	interleaved := func(n, rows, cols int, seed int64) [][]float64 {
+		rng := rand.New(rand.NewSource(seed))
+		out := make([][]float64, n)
+		for i := range out {
+			pix := make([]float64, rows*cols*3)
+			for j := range pix {
+				pix[j] = 0.1
+			}
+			cy := float64(rng.Intn(rows))
+			cx := float64(rng.Intn(cols))
+			r := float64(rows) * (0.1 + 0.2*rng.Float64())
+			for y := 0; y < rows; y++ {
+				for x := 0; x < cols; x++ {
+					dy, dx := float64(y)-cy, float64(x)-cx
+					if dy*dy+dx*dx < r*r {
+						for c := 0; c < 3; c++ {
+							pix[(y*cols+x)*3+c] = 0.9
+						}
+					}
+				}
+			}
+			out[i] = pix
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		n, rows, cols int
+		seed          int64
+	}{{5, 16, 16, 1}, {16, 64, 64, 12345}, {7, 24, 40, 42}, {3, 40, 24, -7}} {
+		want := interleaved(tc.n, tc.rows, tc.cols, tc.seed)
+		all := DiskScenes(tc.n, tc.rows, tc.cols, tc.seed)
+		d := NewDisks(tc.n, tc.rows, tc.cols, tc.seed)
+		if len(all) != tc.n {
+			t.Fatalf("%+v: DiskScenes made %d scenes", tc, len(all))
+		}
+		for i := tc.n - 1; i >= 0; i-- {
+			one := d.Scene(i)
+			if one.H != tc.rows || one.W != tc.cols || one.C != 3 {
+				t.Fatalf("%+v scene %d shape %dx%dx%d", tc, i, one.H, one.W, one.C)
+			}
+			for j, v := range want[i] {
+				if one.Pix[j] != v || all[i].Pix[j] != v {
+					t.Fatalf("%+v scene %d pixel %d: Scene %v, DiskScenes %v, want %v", tc, i, j, one.Pix[j], all[i].Pix[j], v)
+				}
+			}
+		}
 	}
 }
 

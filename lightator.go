@@ -777,44 +777,123 @@ func (a *Accelerator) InferReference(plane *Image, model string) ([]float64, err
 const DefaultAgreementFrames = 16
 
 // ModelAgreement measures a registered model's optical-vs-reference
-// top-1 agreement over `frames` structured test scenes (infer.DiskScenes
+// top-1 agreement over `frames` structured test scenes (infer.Disks
 // under Config.Seed): every scene runs capture + CA + the model through
-// the optical core, the exact digital reference re-runs each compressed
-// plane, and the score is the fraction of frames whose top-1 class
-// matches. This is the label-free fidelity contract: the same
-// measurement lightator-bench -infer records into BENCH_*.json, the
-// cmd/benchdiff agreement gate enforces in CI, and GET /v1/models
-// reports per served model.
+// the optical core exactly as frame i of InferBatch, the exact digital
+// reference re-runs each compressed plane, and the score is the fraction
+// of frames whose top-1 class matches. This is the label-free fidelity
+// contract: the same measurement lightator-bench -infer records into
+// BENCH_*.json, the cmd/benchdiff agreement gate enforces in CI, and
+// GET /v1/models reports per served model — NewServer measures every
+// served model in one shared sweep, with the same result per model as
+// this one-model call.
 func (a *Accelerator) ModelAgreement(model string, frames int) (float64, error) {
+	agree, err := a.agreements([]string{model}, frames)
+	if err != nil {
+		return 0, err
+	}
+	return agree[0], nil
+}
+
+// agreements is the one agreement sweep behind ModelAgreement and
+// NewServer. A single capture+CA pipeline streams the rendered scenes,
+// and workers shard the compressed planes: plane i runs through every
+// model's optical path under the seed a capture+CA+infer pipeline gives
+// frame i, and through its digital reference. Each frame is captured and
+// compressed once however many models share the sweep, and only
+// per-model agree counts are kept, so a handful of scenes and planes are
+// live at a time rather than the whole sweep.
+func (a *Accelerator) agreements(models []string, frames int) ([]float64, error) {
 	if a.inf == nil {
-		return 0, fmt.Errorf("lightator: compressed-domain inference disabled (CAPool = 0)")
+		return nil, fmt.Errorf("lightator: compressed-domain inference disabled (CAPool = 0)")
 	}
 	if frames < 1 {
 		frames = DefaultAgreementFrames
 	}
-	scenes := infer.DiskScenes(frames, a.cfg.SensorRows, a.cfg.SensorCols, a.cfg.Seed)
-	p, err := a.inferPipeline(model)
-	if err != nil {
-		return 0, err
-	}
-	results, _, err := p.Run(scenes)
-	if err != nil {
-		return 0, err
-	}
-	optical := make([][]float64, len(results))
-	reference := make([][]float64, len(results))
-	for i, r := range results {
-		if r.Err != nil {
-			return 0, r.Err
-		}
-		ref, err := a.InferReference(r.Compressed, model)
+	ms := make([]*infer.Model, len(models))
+	for k, name := range models {
+		m, err := a.inf.Model(name)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
-		optical[i] = r.Logits
-		reference[i] = ref
+		ms[k] = m
 	}
-	return infer.Agreement(optical, reference), nil
+	workers := runtime.NumCPU()
+	// A one-deep queue keeps the frames in flight near the worker count.
+	p, err := a.NewPipeline(PipelineOptions{Workers: workers, Queue: 1})
+	if err != nil {
+		return nil, err
+	}
+	disks := infer.NewDisks(frames, a.cfg.SensorRows, a.cfg.SensorCols, a.cfg.Seed)
+	scenes := make(chan *Image)
+	go func() {
+		for i := 0; i < frames; i++ {
+			scenes <- disks.Scene(i)
+		}
+		close(scenes)
+	}()
+	results := p.Stream(scenes)
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		agree    = make([]int, len(ms))
+		firstErr error
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			local := make([]int, len(ms))
+			var err error
+			// Drain every result, even after an error, so the pipeline's
+			// workers are released.
+			for r := range results {
+				if err == nil {
+					err = a.agreeFrame(ms, r, local)
+				}
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			for k, n := range local {
+				agree[k] += n
+			}
+			if firstErr == nil {
+				firstErr = err
+			}
+		}()
+	}
+	wg.Wait()
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	out := make([]float64, len(ms))
+	for k, n := range agree {
+		out[k] = float64(n) / float64(frames)
+	}
+	return out, nil
+}
+
+// agreeFrame counts, per model, whether one compressed frame's optical
+// top-1 class matches its digital reference's.
+func (a *Accelerator) agreeFrame(ms []*infer.Model, r PipelineResult, agree []int) error {
+	if r.Err != nil {
+		return r.Err
+	}
+	seed := pipeline.StageSeed(DeriveSeed(a.cfg.Seed, r.Index), pipeline.StageInfer)
+	for k, m := range ms {
+		logits, err := m.Apply(r.Compressed, seed, 1)
+		if err != nil {
+			return err
+		}
+		ref, err := m.Reference(r.Compressed)
+		if err != nil {
+			return err
+		}
+		if infer.Argmax(logits) == infer.Argmax(ref) {
+			agree[k]++
+		}
+	}
+	return nil
 }
 
 // MatVecBatch programs the weight matrix once and streams a batch of

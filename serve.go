@@ -131,9 +131,11 @@ type ServeOptions struct {
 	CacheEntries int
 	// AgreementFrames is the structured-scene sweep size used to measure
 	// each served model's optical-vs-reference top-1 agreement at server
-	// construction (reported by GET /v1/models). 0 means
-	// DefaultAgreementFrames; negative skips the measurement (models
-	// list without a reference_agreement field).
+	// construction (reported by GET /v1/models; each value equals
+	// ModelAgreement). One sweep serves every model: each frame is
+	// captured and compressed once, then run through all of them. 0
+	// means DefaultAgreementFrames; negative skips the measurement
+	// (models list without a reference_agreement field).
 	AgreementFrames int
 	// TraceEntries sizes the GET /debug/traces ring of per-request
 	// traces (default 256; negative disables retention — response
@@ -235,7 +237,8 @@ func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
 		// Likewise one capture+CA+infer pipeline per registered model.
 		// Models registered after NewServer are not served — register
 		// trained networks first.
-		for _, name := range a.Models() {
+		models := a.Models()
+		for _, name := range models {
 			p, err := a.NewPipeline(PipelineOptions{Workers: opts.Workers, Infer: name})
 			if err != nil {
 				return nil, err
@@ -251,14 +254,17 @@ func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
 				Name: name, Description: m.Description(),
 				InputH: h, InputW: w, Classes: m.Classes(),
 			}
-			if opts.AgreementFrames >= 0 {
-				agree, err := a.ModelAgreement(name, opts.AgreementFrames)
-				if err != nil {
-					return nil, err
-				}
-				info.ReferenceAgreement = &agree
-			}
 			modelInfos = append(modelInfos, info)
+		}
+		// One shared agreement sweep measures every served model.
+		if opts.AgreementFrames >= 0 && len(models) > 0 {
+			agree, err := a.agreements(models, opts.AgreementFrames)
+			if err != nil {
+				return nil, err
+			}
+			for k := range modelInfos {
+				modelInfos[k].ReferenceAgreement = &agree[k]
+			}
 		}
 	}
 	return server.New(server.Backend{
