@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-race linkcheck metricscheck wirecompat fuzz paper bench bench-pipeline bench-kernels bench-infer bench-stream bench-profile bench-e2e benchdiff serve
+.PHONY: check vet build test test-race linkcheck metricscheck wirecompat fuzz paper bench bench-pipeline bench-profile bench-e2e serve
 
 check: vet build test-race linkcheck metricscheck wirecompat
 
@@ -59,25 +59,12 @@ bench:
 bench-pipeline:
 	$(GO) test -bench 'MatVecBatch|Pipeline' -run '^$$' .
 
-# Per-kernel compressed-domain throughput (docs/KERNELS.md).
-bench-kernels:
-	$(GO) run ./cmd/lightator-bench -batch 16 -kernels
-
-# Per-model compressed-domain inference throughput + optical-vs-reference
-# agreement (docs/INFER.md).
-bench-infer:
-	$(GO) run ./cmd/lightator-bench -batch 16 -infer
-
-# Streaming session vs per-frame baseline on a mostly-static scene
-# sequence: temporal delta reuse should win (docs/SERVER.md#sessions).
-bench-stream:
-	$(GO) run ./cmd/lightator-bench -stream
-
-# CPU + allocation profiles of the pipeline bench, so the next perf PR
-# starts from a pprof, not a guess (docs/PERF.md explains how to read
-# them): go tool pprof cpu.pprof / go tool pprof -sample_index=alloc_objects mem.pprof
+# CPU + allocation profiles of the pipeline, per-kernel and per-model
+# microbenchmarks, so the next perf change starts from a pprof, not a
+# guess (docs/PERF.md explains how to read them):
+#   go tool pprof cpu.pprof / go tool pprof -sample_index=alloc_objects mem.pprof
 bench-profile:
-	$(GO) run ./cmd/lightator-bench -batch 16 -workers 2 -cpuprofile cpu.pprof -memprofile mem.pprof
+	$(GO) test -bench 'Pipeline|KernelApply|InferApply' -run '^$$' -cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "wrote cpu.pprof + mem.pprof (go tool pprof <file>)"
 
 # End-to-end loopback benchmark of lightator-serve (bench/README.md):
@@ -85,17 +72,6 @@ bench-profile:
 #   make bench-e2e BENCH_FLAGS='--workload infer-plane --seconds 9 --trace 0'
 bench-e2e:
 	bash bench/run.sh $(BENCH_FLAGS)
-
-# Bench-regression smoke gate: a fresh -json run must stay within 30% of
-# the latest committed BENCH_*.json on every matched record, and may not
-# allocate more per MVM than the baseline (CI runs this; cross-CPU runs
-# skip the FPS part, see cmd/benchdiff). The two commands run
-# sequentially through a temp file — piping them would compile the gate
-# while the bench measures, skewing single-CPU numbers.
-benchdiff:
-	@tmp=$$(mktemp) && \
-	$(GO) run ./cmd/lightator-bench -batch 16 -workers 2 -json -kernels -infer > $$tmp && \
-	$(GO) run ./cmd/benchdiff -new $$tmp; rc=$$?; rm -f $$tmp; exit $$rc
 
 # Run the HTTP serving layer locally (docs/SERVER.md). Override flags:
 #   make serve SERVE_FLAGS='-addr :9090 -fidelity physical-noisy'

@@ -18,12 +18,15 @@ import (
 // same structured-scene sweep the bench and GET /v1/models report.
 // Before the calibrated apply path, tiny-mlp sat at ~0.19 — wide dense
 // rows accumulate systematic crosstalk loss linearly with width.
+// At DefaultConfig — what lightator-serve reports by default — every
+// model's agreement is pinned exactly at 1.
 func TestModelAgreementAcrossCAPools(t *testing.T) {
 	floors := map[string]float64{
 		"tiny-cnn": 0.90,
 		"tiny-mlp": 0.75,
 	}
-	for _, pool := range []int{4, 8, 16} {
+	def := lightator.DefaultConfig().CAPool
+	for _, pool := range []int{def, 4, 8, 16} {
 		cfg := lightator.DefaultConfig()
 		cfg.CAPool = pool
 		acc, err := lightator.New(cfg)
@@ -31,6 +34,9 @@ func TestModelAgreementAcrossCAPools(t *testing.T) {
 			t.Fatalf("pool %d: %v", pool, err)
 		}
 		for model, floor := range floors {
+			if pool == def {
+				floor = 1
+			}
 			agree, err := acc.ModelAgreement(model, lightator.DefaultAgreementFrames)
 			if err != nil {
 				t.Fatalf("pool %d %s: %v", pool, model, err)

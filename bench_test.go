@@ -435,9 +435,9 @@ func BenchmarkPipeline(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Allocation-free MVM hot path (PR 5). Run with -benchmem: the *Into
-// benchmarks are the committed record of the 0 allocs/op steady-state
-// contract that cmd/benchdiff gates (docs/PERF.md).
+// Allocation-free MVM hot path. Run with -benchmem: the *Into
+// benchmarks report the 0 allocs/op steady-state contract that the
+// AllocFree/ZeroAlloc tests pin (docs/PERF.md).
 
 // benchProgrammed programs a deterministic 64x243 matrix (27 arms/row).
 func benchProgrammed(b *testing.B, fid oc.Fidelity) *oc.ProgrammedMatrix {
@@ -559,7 +559,7 @@ func BenchmarkKernelApply(b *testing.B) {
 	for i := range plane.Pix {
 		plane.Pix[i] = rng.Float64()
 	}
-	for _, name := range []string{"edge", "denoise", "reconstruct"} {
+	for _, name := range e.Names() {
 		k, err := e.Kernel(name)
 		if err != nil {
 			b.Fatal(err)

@@ -1,461 +1,28 @@
 // Command lightator-bench regenerates the paper's tables and figures
 // (internal/experiments maps each experiment to its source; docs/DESIGN.md
-// has the system inventory) and measures the batched concurrent pipeline.
+// has the system inventory), checks the paper's claims and runs a
+// fault-plan chaos smoke. Speed is measured elsewhere: bench/ is the
+// end-to-end benchmark of lightator-serve, and `go test -bench` times
+// the library's hot paths (docs/PERF.md).
 //
 // Usage:
 //
 //	lightator-bench -exp all -profile quick
 //	lightator-bench -exp fig8
 //	lightator-bench -exp table1 -profile full
-//	lightator-bench -batch 64 -workers 4    # concurrent pipeline throughput
-//	lightator-bench -batch 64 -json         # machine-readable perf record
-//	lightator-bench -batch 16 -kernels      # + per-kernel compressed-domain sweep
-//	lightator-bench -stream -json           # streaming session vs per-frame baseline (delta reuse)
 //	lightator-bench -paper                  # continuously-verified paper claims (exit 1 on drift)
+//	lightator-bench -chaos -workers 2       # fault-plan smoke: detection + recovery (exit 1 on a miss)
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"testing"
-	"time"
 
 	"lightator"
-	"lightator/internal/energy"
 	"lightator/internal/experiments"
-	"lightator/internal/infer"
-	"lightator/internal/oc"
-	"lightator/internal/pipeline"
 )
-
-// benchReport is the -json output: one machine-readable record per
-// pipeline bench run, so the repo's perf trajectory (BENCH_*.json) can be
-// recorded and diffed across PRs.
-type benchReport struct {
-	Batch      int   `json:"batch"`
-	Workers    int   `json:"workers"`
-	Seed       int64 `json:"seed"`
-	GOMAXPROCS int   `json:"gomaxprocs"`
-	NumCPU     int   `json:"num_cpu"`
-	// Caveat is set on single-CPU hosts, where parallel speedup cannot
-	// be observed no matter the worker count.
-	Caveat string `json:"caveat,omitempty"`
-	// AllocsPerOp is the measured steady-state heap allocations of one
-	// oc.ApplySeededInto call in PhysicalNoisy fidelity (the worst-case
-	// hot path: quantization scratch + per-row noise streams). The
-	// benchdiff gate fails CI when this regresses above the committed
-	// baseline — the allocation-free MVM contract (docs/PERF.md).
-	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
-	// Measured is the concurrent pipeline run (FPS, per-stage p50/p99).
-	Measured pipeline.StatsReport `json:"measured"`
-	// ModeledFPS comes from the architecture simulator's vgg9-ca
-	// streaming workload; EnergyJPerRequest and ModeledKFPSPerW come
-	// from the energy bridge over the benched pipeline's own op counts
-	// (capture + CA + MVM head), so they describe the run this record
-	// measures. See docs/OBSERVABILITY.md.
-	ModeledFPS        float64 `json:"modeled_fps"`
-	EnergyJPerRequest float64 `json:"energy_j_per_request"`
-	ModeledKFPSPerW   float64 `json:"modeled_kfps_per_w"`
-	// Kernels holds the per-kernel compressed-domain sweep (-kernels):
-	// one record per registered kernel, so BENCH_*.json tracks the
-	// /v1/process hot path across PRs.
-	Kernels []kernelBenchRecord `json:"kernels,omitempty"`
-	// Infer holds the per-model compressed-domain inference sweep
-	// (-infer): one record per registered model, so BENCH_*.json tracks
-	// the /v1/infer hot path and its optical fidelity across PRs.
-	Infer []inferBenchRecord `json:"infer,omitempty"`
-	// Stream holds the streaming-session run (-stream): a mostly-static
-	// scene sequence through one /v1/session-style session with temporal
-	// delta reuse, against the per-frame calls the session's byte-identity
-	// contract quotes. New optional fields are safe: benchdiff ignores
-	// unknown baseline fields.
-	Stream *streamBenchRecord `json:"stream,omitempty"`
-	// ABFT compares the hot MVM apply with checksum verification on
-	// (the default everywhere in this report) against a NoABFT core, so
-	// BENCH_*.json records the fault-detection overhead the kernel/infer
-	// FPS above already pay (docs/FAULTS.md#overhead). New optional
-	// fields are safe: benchdiff ignores unknown baseline fields.
-	ABFT *abftBenchRecord `json:"abft,omitempty"`
-}
-
-// abftBenchRecord is the measured cost of ABFT checksum verification on
-// one seeded MVM apply (PhysicalNoisy, the worst case: the checksum row
-// burns an extra readout plus a full noise stream).
-type abftBenchRecord struct {
-	NSPerOpOn  float64 `json:"ns_per_op_abft_on"`
-	NSPerOpOff float64 `json:"ns_per_op_abft_off"`
-	// OverheadFrac is (on-off)/off — the ISSUE budget caps it at 0.10.
-	OverheadFrac float64 `json:"overhead_frac"`
-}
-
-// streamBenchRecord compares a streaming session (persistent seed
-// chain + compressed-domain temporal delta reuse) against the
-// per-frame baseline producing byte-identical output.
-type streamBenchRecord struct {
-	Kernel string `json:"kernel"`
-	Frames int    `json:"frames"`
-	// FPS is the session's streamed throughput; PerFrameFPS is the same
-	// frames as independent per-frame calls with seed DeriveSeed(seed, i).
-	FPS         float64 `json:"fps"`
-	PerFrameFPS float64 `json:"per_frame_fps"`
-	Speedup     float64 `json:"speedup"`
-	// BlocksReusedFrac is the fraction of kernel windows the delta
-	// engine skipped — the temporal redundancy the session harvested.
-	BlocksTotal      int64   `json:"blocks_total"`
-	BlocksReused     int64   `json:"blocks_reused"`
-	BlocksReusedFrac float64 `json:"blocks_reused_frac"`
-}
-
-// kernelBenchRecord is one compressed-domain kernel's throughput record:
-// the full capture+CA+kernel pipeline run (Pipeline.Kernel holds the
-// kernel stage's own latency quantiles).
-type kernelBenchRecord struct {
-	Kernel      string  `json:"kernel"`
-	Description string  `json:"description"`
-	FPS         float64 `json:"fps"`
-	// EnergyJPerRequest and ModeledKFPSPerW price this pipeline's static
-	// per-frame op counts through the energy bridge (internal/energy
-	// RequestEnergy) — the same gauges the server exports per series.
-	EnergyJPerRequest float64              `json:"energy_j_per_request"`
-	ModeledKFPSPerW   float64              `json:"modeled_kfps_per_w"`
-	Pipeline          pipeline.StatsReport `json:"pipeline"`
-	// SolverPassesPerSample is the realized average optical pass count per
-	// compressed sample over this sweep, reported only for iterative
-	// solvers (omitted for single-pass kernels). For fixed-count Landweber
-	// this is the constant 2·iters; for reconstruct-cg it is where the
-	// adaptive stopping rule becomes visible in bench JSON. New optional
-	// fields are safe: benchdiff ignores unknown baseline fields.
-	SolverPassesPerSample float64 `json:"solver_passes_per_sample,omitempty"`
-	// SolverSamples is the sample count behind that average.
-	SolverSamples uint64 `json:"solver_samples,omitempty"`
-}
-
-// inferBenchRecord is one inference model's throughput/accuracy record:
-// the full capture+CA+infer pipeline run plus the optical-vs-digital-
-// reference top-1 agreement — the label-free accuracy proxy that tracks
-// how much the analog path perturbs classifications.
-type inferBenchRecord struct {
-	Model       string  `json:"model"`
-	Description string  `json:"description"`
-	FPS         float64 `json:"fps"`
-	Frames      int     `json:"frames"`
-	// ReferenceAgreement is the fraction of frames whose optical top-1
-	// class matches the digital quantized reference's.
-	ReferenceAgreement float64 `json:"reference_agreement"`
-	// EnergyJPerRequest and ModeledKFPSPerW price this pipeline's static
-	// per-frame op counts through the energy bridge.
-	EnergyJPerRequest float64              `json:"energy_j_per_request"`
-	ModeledKFPSPerW   float64              `json:"modeled_kfps_per_w"`
-	Pipeline          pipeline.StatsReport `json:"pipeline"`
-}
-
-// modeledEnergy prices a pipeline's static per-frame op counts through
-// the energy bridge, returning (joules/frame, KFPS/W).
-func modeledEnergy(p *lightator.Pipeline, params energy.Params, wBits int) (float64, float64) {
-	j := params.RequestEnergy(p.FrameOps().Total(), wBits).Total()
-	return j, energy.ModeledKFPSPerW(j)
-}
-
-// runInferSweep streams a structured scene batch (infer.DiskScenes, the
-// same generator ActQuant calibration and the serving-time agreement
-// report draw from) through one capture+CA+infer pipeline per registered
-// model, collecting a throughput record and the reference-agreement
-// accuracy each.
-func runInferSweep(acc *lightator.Accelerator, batch, workers int, seed int64) ([]inferBenchRecord, error) {
-	cfg := acc.Config()
-	params := energy.Default()
-	scenes := infer.DiskScenes(batch, cfg.SensorRows, cfg.SensorCols, seed)
-	var records []inferBenchRecord
-	for _, name := range acc.Models() {
-		desc, err := acc.ModelDescription(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := acc.NewPipeline(lightator.PipelineOptions{Workers: workers, Infer: name})
-		if err != nil {
-			return nil, err
-		}
-		results, stats, err := p.Run(scenes)
-		if err != nil {
-			return nil, err
-		}
-		optical := make([][]float64, len(results))
-		reference := make([][]float64, len(results))
-		for i, r := range results {
-			if r.Err != nil {
-				return nil, r.Err
-			}
-			ref, err := acc.InferReference(r.Compressed, name)
-			if err != nil {
-				return nil, err
-			}
-			optical[i] = r.Logits
-			reference[i] = ref
-		}
-		rep := stats.Report()
-		j, kfpsPerW := modeledEnergy(p, params, cfg.Precision.WBits)
-		records = append(records, inferBenchRecord{
-			Model:              name,
-			Description:        desc,
-			FPS:                rep.FPS,
-			Frames:             len(results),
-			ReferenceAgreement: infer.Agreement(optical, reference),
-			EnergyJPerRequest:  j,
-			ModeledKFPSPerW:    kfpsPerW,
-			Pipeline:           rep,
-		})
-	}
-	return records, nil
-}
-
-// runKernelSweep streams the scene batch through one capture+CA+kernel
-// pipeline per registered kernel, collecting a throughput record each.
-func runKernelSweep(acc *lightator.Accelerator, scenes []*lightator.Image, workers int) ([]kernelBenchRecord, error) {
-	var records []kernelBenchRecord
-	params := energy.Default()
-	wBits := acc.Config().Precision.WBits
-	for _, name := range acc.Kernels() {
-		desc, err := acc.KernelDescription(name)
-		if err != nil {
-			return nil, err
-		}
-		p, err := acc.NewPipeline(lightator.PipelineOptions{Workers: workers, Kernel: name})
-		if err != nil {
-			return nil, err
-		}
-		// Snapshot the solver's lifetime pass totals around the run so the
-		// record reflects only this sweep's samples.
-		passes0, samples0, iterative, err := acc.KernelSolverPasses(name)
-		if err != nil {
-			return nil, err
-		}
-		results, stats, err := p.Run(scenes)
-		if err != nil {
-			return nil, err
-		}
-		for _, r := range results {
-			if r.Err != nil {
-				return nil, r.Err
-			}
-		}
-		rep := stats.Report()
-		j, kfpsPerW := modeledEnergy(p, params, wBits)
-		rec := kernelBenchRecord{
-			Kernel:            name,
-			Description:       desc,
-			FPS:               rep.FPS,
-			EnergyJPerRequest: j,
-			ModeledKFPSPerW:   kfpsPerW,
-			Pipeline:          rep,
-		}
-		if iterative {
-			passes1, samples1, _, err := acc.KernelSolverPasses(name)
-			if err != nil {
-				return nil, err
-			}
-			if n := samples1 - samples0; n > 0 {
-				rec.SolverPassesPerSample = float64(passes1-passes0) / float64(n)
-				rec.SolverSamples = n
-			}
-		}
-		records = append(records, rec)
-	}
-	return records, nil
-}
-
-// runStreamBench streams a mostly-static scene sequence (fixed
-// background, a bright square that jumps every few frames — the
-// near-sensor video workload sessions target) through one streaming
-// session, and through the equivalent per-frame calls, returning the
-// comparison record. Output bytes are identical by the session
-// contract; only the work differs.
-func runStreamBench(acc *lightator.Accelerator, frames, workers int, seed int64) (*streamBenchRecord, error) {
-	const kernel = "edge"
-	cfg := acc.Config()
-	rng := rand.New(rand.NewSource(seed))
-	base := lightator.NewImage(cfg.SensorRows, cfg.SensorCols, 3)
-	for i := range base.Pix {
-		base.Pix[i] = rng.Float64()
-	}
-	side := cfg.SensorRows / 8
-	scenes := make([]*lightator.Image, frames)
-	for f := range scenes {
-		s := base.Clone()
-		pos := ((f / 4) * side) % (cfg.SensorRows - side)
-		for y := pos; y < pos+side; y++ {
-			for x := pos; x < pos+side; x++ {
-				for c := 0; c < 3; c++ {
-					s.Pix[(y*cfg.SensorCols+x)*3+c] = 1
-				}
-			}
-		}
-		scenes[f] = s
-	}
-
-	// Per-frame baseline: independent calls with seed DeriveSeed(seed, i)
-	// — exactly what the streamed bytes are defined to match.
-	p, err := acc.NewPipeline(lightator.PipelineOptions{Workers: workers, Kernel: kernel})
-	if err != nil {
-		return nil, err
-	}
-	t0 := time.Now()
-	for i, s := range scenes {
-		results, _, err := p.RunSeeded([]pipeline.SeededScene{{Seed: lightator.DeriveSeed(seed, i), Scene: s}})
-		if err != nil {
-			return nil, err
-		}
-		if results[0].Err != nil {
-			return nil, results[0].Err
-		}
-	}
-	perFrame := time.Since(t0)
-
-	sess, err := acc.NewSession(lightator.SessionOptions{Kind: "process", Kernel: kernel, Seed: &seed, Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	defer sess.Close()
-	in := make(chan *lightator.Image)
-	go func() {
-		defer close(in)
-		for _, s := range scenes {
-			in <- s
-		}
-	}()
-	got := 0
-	t1 := time.Now()
-	err = sess.Stream(context.Background(), in, func(fr lightator.SessionFrameResult) error {
-		if fr.Err != nil {
-			return fr.Err
-		}
-		got++
-		return nil
-	})
-	streamed := time.Since(t1)
-	if err != nil {
-		return nil, err
-	}
-	if got != frames {
-		return nil, fmt.Errorf("stream bench: %d results for %d frames", got, frames)
-	}
-	st := sess.Stats()
-	rec := &streamBenchRecord{
-		Kernel:           kernel,
-		Frames:           frames,
-		FPS:              float64(frames) / streamed.Seconds(),
-		PerFrameFPS:      float64(frames) / perFrame.Seconds(),
-		BlocksTotal:      st.BlocksTotal,
-		BlocksReused:     st.BlocksReused,
-		BlocksReusedFrac: st.ReusedFrac,
-	}
-	if rec.PerFrameFPS > 0 {
-		rec.Speedup = rec.FPS / rec.PerFrameFPS
-	}
-	return rec, nil
-}
-
-// measureMVMAllocs reports the steady-state heap allocations of one
-// seeded MVM into a caller-owned destination — the number the benchdiff
-// allocation gate pins at zero. PhysicalNoisy is the worst case: it
-// exercises the quantization scratch and the pooled per-row noise
-// streams.
-func measureMVMAllocs(seed int64) (float64, error) {
-	core, err := oc.NewCore(4, 4, oc.PhysicalNoisy)
-	if err != nil {
-		return 0, err
-	}
-	rng := rand.New(rand.NewSource(seed))
-	w := make([][]float64, 32)
-	for r := range w {
-		w[r] = make([]float64, 64)
-		for c := range w[r] {
-			w[r][c] = rng.Float64()*2 - 1
-		}
-	}
-	pm, err := core.Program(w)
-	if err != nil {
-		return 0, err
-	}
-	x := make([]float64, pm.Cols())
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	y := make([]float64, pm.Rows())
-	if err := pm.ApplySeededInto(y, x, seed); err != nil { // warm the pools
-		return 0, err
-	}
-	i := 0
-	return testing.AllocsPerRun(200, func() {
-		i++
-		if err := pm.ApplySeededInto(y, x, oc.DeriveSeed(seed, i)); err != nil {
-			panic(err)
-		}
-	}), nil
-}
-
-// measureABFTOverhead times one seeded MVM apply with checksum
-// verification on versus a NoABFT core over the same 32x64 matrix
-// (stride 1: every apply checked — the worst case), taking the best of
-// three reps each to shed scheduler noise.
-func measureABFTOverhead(seed int64) (*abftBenchRecord, error) {
-	rng := rand.New(rand.NewSource(seed))
-	w := make([][]float64, 32)
-	for r := range w {
-		w[r] = make([]float64, 64)
-		for c := range w[r] {
-			w[r][c] = rng.Float64()*2 - 1
-		}
-	}
-	x := make([]float64, 64)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	time1 := func(noABFT bool) (float64, error) {
-		core, err := oc.NewCore(4, 4, oc.PhysicalNoisy)
-		if err != nil {
-			return 0, err
-		}
-		core.NoABFT = noABFT
-		pm, err := core.Program(w)
-		if err != nil {
-			return 0, err
-		}
-		y := make([]float64, pm.Rows())
-		if err := pm.ApplySeededInto(y, x, seed); err != nil { // warm pools
-			return 0, err
-		}
-		const iters = 2000
-		best := math.Inf(1)
-		for rep := 0; rep < 3; rep++ {
-			t0 := time.Now()
-			for i := 0; i < iters; i++ {
-				if err := pm.ApplySeededInto(y, x, oc.DeriveSeed(seed, i)); err != nil {
-					return 0, err
-				}
-			}
-			if ns := float64(time.Since(t0).Nanoseconds()) / iters; ns < best {
-				best = ns
-			}
-		}
-		return best, nil
-	}
-	on, err := time1(false)
-	if err != nil {
-		return nil, err
-	}
-	off, err := time1(true)
-	if err != nil {
-		return nil, err
-	}
-	return &abftBenchRecord{NSPerOpOn: on, NSPerOpOff: off, OverheadFrac: (on - off) / off}, nil
-}
 
 // runChaosSmoke is the -chaos mode: a short fault-plan run through the
 // capture+CA+kernel pipeline (the CI chaos smoke step). It verifies the
@@ -546,238 +113,46 @@ func runChaosSmoke(workers int, seed int64) error {
 	return nil
 }
 
-// runPipelineBench streams `batch` synthetic 256x256 scenes through the
-// concurrent pipeline (capture + compressive acquisition + a small MVM
-// head) at the given worker count, printing measured aggregate FPS with
-// per-stage latency histograms, plus the modeled batch report from the
-// architecture simulator for the same frame count.
-func runPipelineBench(batch, workers int, seed int64, asJSON, kernelSweep, inferSweep, streamBench bool) error {
-	cfg := lightator.DefaultConfig()
-	cfg.Seed = seed
-	acc, err := lightator.New(cfg)
+// rendered adapts an experiment's (result, error) return to its text.
+func rendered[R interface{ Render() string }](r R, err error) (string, error) {
 	if err != nil {
-		return err
+		return "", err
 	}
-	// A 10-row MVM head over the 128x128 CA plane: the smallest
-	// classifier-shaped load that exercises all three stages.
-	caOut := (cfg.SensorRows / cfg.CAPool) * (cfg.SensorCols / cfg.CAPool)
-	rng := rand.New(rand.NewSource(seed))
-	weights := make([][]float64, 10)
-	for r := range weights {
-		weights[r] = make([]float64, caOut)
-		for c := range weights[r] {
-			weights[r][c] = rng.Float64()*2 - 1
-		}
-	}
-	p, err := acc.NewPipeline(lightator.PipelineOptions{Workers: workers, Weights: weights})
-	if err != nil {
-		return err
-	}
-	scenes := make([]*lightator.Image, batch)
-	for i := range scenes {
-		s := lightator.NewImage(cfg.SensorRows, cfg.SensorCols, 3)
-		for j := range s.Pix {
-			s.Pix[j] = rng.Float64()
-		}
-		scenes[i] = s
-	}
-	results, stats, err := p.Run(scenes)
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			return r.Err
-		}
-	}
-
-	// Modeled counterpart: the same batch through the architecture
-	// simulator (vgg9-ca is the paper's CA-fronted streaming workload).
-	// Simulate is deterministic, so one run stands in for every frame.
-	rep, err := acc.Simulate("vgg9-ca")
-	if err != nil {
-		return err
-	}
-	reports := make([]*lightator.PerformanceReport, batch)
-	for i := range reports {
-		reports[i] = rep
-	}
-	agg, err := lightator.AggregateReports(reports)
-	if err != nil {
-		return err
-	}
-
-	var kernelRecords []kernelBenchRecord
-	if kernelSweep {
-		kernelRecords, err = runKernelSweep(acc, scenes, workers)
-		if err != nil {
-			return err
-		}
-	}
-	var inferRecords []inferBenchRecord
-	if inferSweep {
-		inferRecords, err = runInferSweep(acc, batch, workers, seed)
-		if err != nil {
-			return err
-		}
-	}
-	var streamRecord *streamBenchRecord
-	if streamBench {
-		streamRecord, err = runStreamBench(acc, batch, workers, seed)
-		if err != nil {
-			return err
-		}
-	}
-
-	if asJSON {
-		allocs, err := measureMVMAllocs(seed)
-		if err != nil {
-			return err
-		}
-		abft, err := measureABFTOverhead(seed)
-		if err != nil {
-			return err
-		}
-		j, kfpsPerW := modeledEnergy(p, energy.Default(), cfg.Precision.WBits)
-		out := benchReport{
-			Batch:             batch,
-			Workers:           workers,
-			Seed:              seed,
-			GOMAXPROCS:        runtime.GOMAXPROCS(0),
-			NumCPU:            runtime.NumCPU(),
-			AllocsPerOp:       &allocs,
-			Measured:          stats.Report(),
-			ModeledFPS:        rep.FPS,
-			EnergyJPerRequest: j,
-			ModeledKFPSPerW:   kfpsPerW,
-			Kernels:           kernelRecords,
-			Infer:             inferRecords,
-			Stream:            streamRecord,
-			ABFT:              abft,
-		}
-		if out.NumCPU == 1 {
-			out.Caveat = "single-CPU host: worker parallelism cannot speed up this run; measured FPS understates multi-core throughput"
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(out)
-	}
-	fmt.Println("== measured (concurrent pipeline) ==")
-	fmt.Println(stats.Render())
-	fmt.Println("== modeled (architecture simulator, vgg9-ca) ==")
-	fmt.Println(agg.Render())
-	if kernelRecords != nil {
-		fmt.Println("== compressed-domain kernel sweep ==")
-		for _, r := range kernelRecords {
-			solver := ""
-			if r.SolverSamples > 0 {
-				solver = fmt.Sprintf("  %.1f passes/sample", r.SolverPassesPerSample)
-			}
-			fmt.Printf("%-18s %8.1f frames/sec  kernel-stage p50<=%v p99<=%v%s\n",
-				r.Kernel, r.FPS,
-				time.Duration(r.Pipeline.Kernel.P50NS).Round(time.Microsecond),
-				time.Duration(r.Pipeline.Kernel.P99NS).Round(time.Microsecond), solver)
-		}
-	}
-	if inferRecords != nil {
-		fmt.Println("== compressed-domain inference sweep ==")
-		for _, r := range inferRecords {
-			fmt.Printf("%-18s %8.1f frames/sec  ref-agreement %5.1f%%  infer-stage p50<=%v p99<=%v\n",
-				r.Model, r.FPS, 100*r.ReferenceAgreement,
-				time.Duration(r.Pipeline.Infer.P50NS).Round(time.Microsecond),
-				time.Duration(r.Pipeline.Infer.P99NS).Round(time.Microsecond))
-		}
-	}
-	if streamRecord != nil {
-		fmt.Println("== streaming session (temporal delta reuse) ==")
-		fmt.Printf("%-18s session %8.1f frames/sec  per-frame %8.1f frames/sec  speedup %.2fx  windows reused %.1f%%\n",
-			streamRecord.Kernel, streamRecord.FPS, streamRecord.PerFrameFPS,
-			streamRecord.Speedup, 100*streamRecord.BlocksReusedFrac)
-	}
-	return nil
+	return r.Render(), nil
 }
 
-// main delegates to realMain so profile-flushing defers run even on
-// failure exits — os.Exit directly from the body would leave a truncated
-// cpu.pprof behind.
+// fail reports err under name and exits 1.
+func fail(name string, err error) {
+	fmt.Fprintf(os.Stderr, "lightator-bench: %s: %v\n", name, err)
+	os.Exit(1)
+}
+
 func main() {
-	os.Exit(realMain())
-}
-
-func realMain() int {
 	exp := flag.String("exp", "all", "experiment: fig8, fig9, fig10, table1, ablations, all")
 	profile := flag.String("profile", "quick", "training budget for accuracy columns: smoke, quick, full")
 	seed := flag.Int64("seed", 7, "experiment seed")
-	workers := flag.Int("workers", 8, "worker goroutines (training, and the -batch pipeline)")
-	batch := flag.Int("batch", 0, "when > 0, run the concurrent pipeline over this many frames and report aggregate FPS instead of the paper experiments")
-	asJSON := flag.Bool("json", false, "with -batch: emit a machine-readable report (FPS, per-stage p50/p99, CPU counts) for the BENCH_*.json perf trajectory")
-	kernelSweep := flag.Bool("kernels", false, "with -batch: additionally sweep every registered compressed-domain kernel and report per-kernel throughput")
-	inferSweep := flag.Bool("infer", false, "with -batch: additionally sweep every registered inference model and report per-model throughput and optical-vs-reference agreement")
-	streamBench := flag.Bool("stream", false, "run a streaming session with temporal delta reuse over a mostly-static scene sequence and report session vs per-frame FPS (implies -batch 48 when unset)")
+	workers := flag.Int("workers", 8, "worker goroutines (training, and the -chaos pipeline)")
 	paper := flag.Bool("paper", false, "regenerate the continuously-verified paper-claims table (training-free; markdown to stdout, exit 1 on drift)")
 	chaos := flag.Bool("chaos", false, "run a short fault-plan chaos smoke through the serving pipeline and verify detection + recovery (exit 1 on any miss; docs/FAULTS.md)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file (go tool pprof; docs/PERF.md)")
-	memProfile := flag.String("memprofile", "", "write a pprof allocation profile of the run to this file (go tool pprof; docs/PERF.md)")
 	flag.Parse()
-
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lightator-bench: cpuprofile: %v\n", err)
-			return 1
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "lightator-bench: cpuprofile: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lightator-bench: memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // flush the final allocation state before snapshotting
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "lightator-bench: memprofile: %v\n", err)
-			}
-		}()
-	}
 
 	if *paper {
 		res, err := experiments.PaperClaims()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lightator-bench: paper claims: %v\n", err)
-			return 1
+			fail("paper claims", err)
 		}
 		fmt.Print(res.Render())
 		if len(res.Failing()) > 0 {
-			return 1
+			os.Exit(1)
 		}
-		return 0
+		return
 	}
 
 	if *chaos {
 		if err := runChaosSmoke(*workers, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "lightator-bench: chaos: %v\n", err)
-			return 1
+			fail("chaos", err)
 		}
-		return 0
-	}
-
-	if *streamBench && *batch == 0 {
-		*batch = 48
-	}
-	if *batch > 0 {
-		if err := runPipelineBench(*batch, *workers, *seed, *asJSON, *kernelSweep, *inferSweep, *streamBench); err != nil {
-			fmt.Fprintf(os.Stderr, "lightator-bench: pipeline: %v\n", err)
-			return 1
-		}
-		return 0
+		return
 	}
 
 	var prof experiments.Profile
@@ -790,80 +165,39 @@ func realMain() int {
 		prof = experiments.Full
 	default:
 		fmt.Fprintf(os.Stderr, "lightator-bench: unknown profile %q\n", *profile)
-		return 1
+		os.Exit(1)
 	}
 	opt := experiments.Options{Profile: prof, Seed: *seed, Workers: *workers}
 
-	failed := false
-	run := func(name string, f func() (string, error)) {
-		if failed {
-			return
+	// Each entry is one printed result; exp is the -exp value that selects it.
+	known := false
+	for _, e := range []struct {
+		exp, name string
+		run       func() (string, error)
+	}{
+		{"fig8", "fig8", func() (string, error) { return rendered(experiments.Fig8()) }},
+		{"fig9", "fig9", func() (string, error) { return rendered(experiments.Fig9()) }},
+		{"fig10", "fig10", func() (string, error) { return rendered(experiments.Fig10()) }},
+		{"table1", "table1", func() (string, error) {
+			fmt.Printf("(training accuracy columns at %q profile; this is the slow part)\n", *profile)
+			return rendered(experiments.Table1(opt))
+		}},
+		{"ablations", "ablations", experiments.RenderAllCheapAblations},
+		{"ablations", "ablation-fidelity", func() (string, error) { return rendered(experiments.AblationFidelity(opt)) }},
+	} {
+		if *exp != "all" && *exp != e.exp {
+			continue
 		}
-		out, err := f()
+		known = true
+		out, err := e.run()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "lightator-bench: %s: %v\n", name, err)
-			failed = true
-			return
+			fail(e.name, err)
 		}
 		fmt.Println(out)
 		fmt.Println()
 	}
-
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("fig8") {
-		run("fig8", func() (string, error) {
-			r, err := experiments.Fig8()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if want("fig9") {
-		run("fig9", func() (string, error) {
-			r, err := experiments.Fig9()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if want("fig10") {
-		run("fig10", func() (string, error) {
-			r, err := experiments.Fig10()
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if want("table1") {
-		run("table1", func() (string, error) {
-			fmt.Printf("(training accuracy columns at %q profile; this is the slow part)\n", *profile)
-			r, err := experiments.Table1(opt)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if want("ablations") {
-		run("ablations", experiments.RenderAllCheapAblations)
-		run("ablation-fidelity", func() (string, error) {
-			r, err := experiments.AblationFidelity(opt)
-			if err != nil {
-				return "", err
-			}
-			return r.Render(), nil
-		})
-	}
-	if !want("fig8") && !want("fig9") && !want("fig10") && !want("table1") && !want("ablations") {
+	if !known {
 		fmt.Fprintf(os.Stderr, "lightator-bench: unknown experiment %q\n", *exp)
-		return 1
+		os.Exit(1)
 	}
-	if failed {
-		return 1
-	}
-	return 0
 }

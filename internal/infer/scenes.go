@@ -102,8 +102,8 @@ func CalibrationPlanes(core *oc.Core, poolN, h, w, batch int, seed int64) ([]*se
 }
 
 // Agreement reports the fraction of index-aligned logit pairs whose
-// top-1 class matches — the label-free fidelity contract the bench, the
-// model zoo listing and the benchdiff gate all report. Ties resolve to
+// top-1 class matches — the label-free fidelity contract the model zoo
+// listing reports and the end-to-end bench gates. Ties resolve to
 // the first maximum on both sides (Argmax), so a pair of identical
 // degenerate logit vectors counts as agreeing. An empty or mismatched
 // sweep has no evidence of agreement and reports 0.

@@ -43,7 +43,8 @@ import (
 // optical work: PassTotals reports how many optical passes all Apply
 // calls so far have executed and over how many compressed samples, so
 // adaptive stopping is observable (passes/samples is the realized
-// average pass count — lightator-bench reports it per kernel).
+// average pass count — the end-to-end bench reports it as
+// kernels.reconstruct-cg.passes_per_sample).
 // Reference never counts: it runs no optical passes.
 type SolverStats interface {
 	PassTotals() (passes, samples uint64)

@@ -1,9 +1,9 @@
 //go:build !race
 
 // Steady-state allocation pins for the MVM hot path. The race detector
-// instruments allocations, so these run only in the plain test pass; the
-// committed benchmarks (-benchmem) and the benchdiff allocs_per_op gate
-// record the same contract.
+// instruments allocations, so these run only in the plain test pass
+// (CI runs them as their own non-race step); the -benchmem benchmarks
+// report the same contract.
 package oc
 
 import "testing"

@@ -161,8 +161,8 @@ func (h *LatencyHist) Report() StageReport {
 }
 
 // StatsReport is the machine-readable counterpart of Stats, consumed by
-// the serving layer's /metrics endpoint and lightator-bench -json. Stages
-// that never ran report Count == 0.
+// the serving layer's /metrics endpoint. Stages that never ran report
+// Count == 0.
 type StatsReport struct {
 	Frames   int         `json:"frames"`
 	Errors   int         `json:"errors"`

@@ -254,9 +254,9 @@ type ModelInfo struct {
 	Classes int `json:"classes"`
 	// ReferenceAgreement is the measured optical-vs-digital-reference
 	// top-1 agreement over a structured-scene sweep at server
-	// construction (the fidelity contract cmd/benchdiff gates; 1.0 =
-	// every sweep frame classified identically). Omitted when the server
-	// was built with agreement measurement disabled.
+	// construction (the fidelity contract the end-to-end bench gates;
+	// 1.0 = every sweep frame classified identically). Omitted when the
+	// server was built with agreement measurement disabled.
 	ReferenceAgreement *float64 `json:"reference_agreement,omitempty"`
 }
 

@@ -761,8 +761,8 @@ func (a *Accelerator) InferPlane(plane *Image, model string) ([]float64, error) 
 // InferReference computes the digital reference of a registered model
 // over a pre-compressed plane: the same quantized network in exact
 // arithmetic with no analog effects. The optical-vs-reference gap
-// isolates crosstalk and noise — the fidelity metric lightator-bench
-// -infer reports as top-1 agreement.
+// isolates crosstalk and noise — the fidelity metric ModelAgreement
+// reports as top-1 agreement.
 func (a *Accelerator) InferReference(plane *Image, model string) ([]float64, error) {
 	m, err := a.inferModel(model)
 	if err != nil {
@@ -772,8 +772,8 @@ func (a *Accelerator) InferReference(plane *Image, model string) ([]float64, err
 }
 
 // DefaultAgreementFrames is the structured-scene sweep size
-// ModelAgreement uses when the caller passes frames < 1 — the same batch
-// size the committed BENCH_*.json agreement records were measured at.
+// ModelAgreement uses when the caller passes frames < 1, and NewServer's
+// default sweep size for GET /v1/models.
 const DefaultAgreementFrames = 16
 
 // ModelAgreement measures a registered model's optical-vs-reference
@@ -782,11 +782,9 @@ const DefaultAgreementFrames = 16
 // the optical core exactly as frame i of InferBatch, the exact digital
 // reference re-runs each compressed plane, and the score is the fraction
 // of frames whose top-1 class matches. This is the label-free fidelity
-// contract: the same measurement lightator-bench -infer records into
-// BENCH_*.json, the cmd/benchdiff agreement gate enforces in CI, and
-// GET /v1/models reports per served model — NewServer measures every
-// served model in one shared sweep, with the same result per model as
-// this one-model call.
+// contract GET /v1/models reports per served model — NewServer measures
+// every served model in one shared sweep, with the same result per model
+// as this one-model call.
 func (a *Accelerator) ModelAgreement(model string, frames int) (float64, error) {
 	agree, err := a.agreements([]string{model}, frames)
 	if err != nil {
