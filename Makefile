@@ -21,14 +21,17 @@ test:
 test-race:
 	$(GO) test -race ./...
 
-# Coverage-guided fuzz smoke over the wire codecs and the /v1/process
-# JSON decoder (seed corpora in internal/server/testdata/fuzz). Each
+# Coverage-guided fuzz smoke over the wire codecs, the /v1/process
+# handler, the envelope decoder (fast path against strict JSON) and the
+# session NDJSON stream (seed corpora in internal/server/testdata/fuzz). Each
 # target needs its own invocation: -fuzz accepts exactly one match.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzProcessRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEnvelopeDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSessionFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)
 
 # Fail on broken relative links in the repo's markdown files.

@@ -54,9 +54,11 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 		start := time.Now()
 		var req Req
 		p := P(&req)
-		if err := decodeBody(r, p); err != nil {
+		in, err := readEnvelope(r, &req)
+		if err != nil {
 			return decodeStatus(err), err
 		}
+		defer in.release()
 		op, err := resolve(p)
 		if err != nil {
 			return errStatus(err, http.StatusBadRequest), err
@@ -66,7 +68,7 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 		if err := s.admitCompute(); err != nil {
 			return errStatus(err, http.StatusServiceUnavailable), err
 		}
-		rawPix, err := validateImageWire(*op.input)
+		rawPix, err := in.pixels(op.input)
 		if err != nil {
 			return http.StatusBadRequest, wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid image", err)
 		}

@@ -1,6 +1,9 @@
 // Native Go fuzz targets for the wire codecs and the server's JSON
-// decoding: malformed base64, dimension, and body payloads must come
-// back as errors (HTTP 4xx at the handler), never as panics. Seed
+// decoding: malformed base64, dimension, body and frame-stream payloads
+// must come back as errors (HTTP 4xx at the handler, or an in-stream
+// error record), never as panics. FuzzEnvelopeDecode, which holds the
+// envelope decoder's fast path against strict encoding/json, lives in
+// envelope_test.go because it reaches unexported code. Seed
 // corpora live under testdata/fuzz/<FuzzName>/ and run as ordinary unit
 // cases during `go test`; `make fuzz` (and the ci.yml fuzz-smoke job)
 // runs each target through the coverage-guided fuzzer for a short burst.
@@ -13,7 +16,9 @@
 package server_test
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -161,13 +166,106 @@ func FuzzProcessRequest(f *testing.F) {
 			// Every non-200 must carry the structured error shape: a
 			// non-empty stable code, a message, and the legacy "error"
 			// string old clients decode.
-			var resp server.ErrorResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("non-200 (%d) without an ErrorResponse body: %q", rec.Code, rec.Body.String())
+			checkErrorShape(t, rec.Code, rec.Body.Bytes())
+		}
+	})
+}
+
+// duplexRecorder runs the frame-stream handler against a recorder: the
+// handler asks for full-duplex mode, which a recorder has no reason to
+// refuse.
+type duplexRecorder struct{ *httptest.ResponseRecorder }
+
+func (duplexRecorder) EnableFullDuplex() error { return nil }
+
+// serveRecorded runs one request through h and returns the recorder.
+func serveRecorded(h http.Handler, method, target string, body io.Reader) *httptest.ResponseRecorder {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(duplexRecorder{rec}, httptest.NewRequest(method, target, body))
+	return rec
+}
+
+// FuzzSessionFrames throws arbitrary NDJSON streams at
+// POST /v1/session/{id}/frames on a fresh process session: truncated,
+// blank, malformed-then-valid and \r\n-terminated lines. Nothing may
+// panic or answer 5xx. A failure before any result is a status with an
+// ErrorResponse body; once results flow, every line is a result, an
+// ErrorResponse record, or the closing summary, and the stream ends
+// with the summary or an index -1 error record.
+func FuzzSessionFrames(f *testing.F) {
+	line := func(h, w int) string {
+		b, err := json.Marshal(server.SessionFrame{Scene: server.EncodeImage(testScene(5, h, w))})
+		if err != nil {
+			f.Fatal(err)
+		}
+		return string(b)
+	}
+	valid := line(16, 16)
+	for _, body := range []string{
+		"",
+		valid + "\n",
+		valid + "\n" + valid + "\n",
+		valid,                             // last line without a newline
+		valid[:len(valid)/2],              // truncated mid-value
+		valid + "\n" + valid[:40],         // truncated second line
+		"\n\n" + valid + "\n\n",           // blank lines
+		"{\"scene\":17}\n" + valid + "\n", // malformed, then valid
+		valid + "\r\n" + valid + "\r\n",   // CRLF endings
+		valid + "\n" + line(8, 8) + "\n",  // a scene the sensor rejects
+		valid + "\n{\"scene\":{\"h\":1,\"w\":1,\"c\":1,\"pix_b64\":\"zzz\"}}\n",
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		h, err := fuzzProcessHandler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		open := serveRecorded(h, http.MethodPost, "/v1/session", strings.NewReader(`{"kind":"process","kernel":"edge","seed":7}`))
+		var sr server.SessionResponse
+		if open.Code != http.StatusOK || json.Unmarshal(open.Body.Bytes(), &sr) != nil {
+			t.Fatalf("open session: %d %s", open.Code, open.Body.String())
+		}
+		defer serveRecorded(h, http.MethodDelete, "/v1/session/"+sr.ID, nil)
+
+		rec := serveRecorded(h, http.MethodPost, "/v1/session/"+sr.ID+"/frames", bytes.NewReader(body))
+		if rec.Code >= 500 {
+			t.Fatalf("server error %d for stream %q: %s", rec.Code, body, rec.Body.String())
+		}
+		if rec.Code != http.StatusOK {
+			checkErrorShape(t, rec.Code, rec.Body.Bytes())
+			return
+		}
+		lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+		for i, ln := range lines {
+			var record struct {
+				server.SessionResult
+				server.SessionSummary
 			}
-			if resp.Code == "" || resp.Message == "" || resp.Error == "" {
-				t.Fatalf("non-200 (%d) with incomplete error shape %+v: %q", rec.Code, resp, rec.Body.String())
+			if err := json.Unmarshal([]byte(ln), &record); err != nil {
+				t.Fatalf("stream line %q does not decode: %v", ln, err)
+			}
+			if record.Error != nil && (record.Error.Code == "" || record.Error.Message == "" || record.Error.Error == "") {
+				t.Fatalf("incomplete in-stream error %+v", record.Error)
+			}
+			if last := i == len(lines)-1; last != (record.Done || record.Index == -1) {
+				t.Fatalf("line %d of %d is %q: the stream must end, and only end, with a summary or an index -1 error", i, len(lines), ln)
+			}
+			if record.Index == -1 && record.Error == nil {
+				t.Fatalf("index -1 record without an error: %q", ln)
 			}
 		}
 	})
+}
+
+// checkErrorShape fails unless body is a complete ErrorResponse.
+func checkErrorShape(t *testing.T, status int, body []byte) {
+	t.Helper()
+	var resp server.ErrorResponse
+	if err := json.Unmarshal(body, &resp); err != nil {
+		t.Fatalf("non-200 (%d) without an ErrorResponse body: %q", status, body)
+	}
+	if resp.Code == "" || resp.Message == "" || resp.Error == "" {
+		t.Fatalf("non-200 (%d) with incomplete error shape %+v: %q", status, resp, body)
+	}
 }

@@ -639,16 +639,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, body)
 }
 
-// decodeBody strictly decodes a JSON request body.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("server: request body: %w", err)
-	}
-	return nil
-}
-
 // decodeStatus maps a body-decode failure to its HTTP status: 413 when
 // the MaxBytesReader cap tripped, 400 otherwise.
 func decodeStatus(err error) int {
@@ -770,7 +760,7 @@ func (s *Server) handleKernels(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMatVec(w http.ResponseWriter, r *http.Request) (int, error) {
 	start := time.Now()
 	var req MatVecRequest
-	if err := decodeBody(r, &req); err != nil {
+	if _, err := readEnvelope(r, &req); err != nil {
 		return decodeStatus(err), err
 	}
 	if len(req.Weights) == 0 || len(req.Activations) == 0 {
@@ -826,7 +816,7 @@ func (s *Server) handleMatVec(w http.ResponseWriter, r *http.Request) (int, erro
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) (int, error) {
 	start := time.Now()
 	var req SimulateRequest
-	if err := decodeBody(r, &req); err != nil {
+	if _, err := readEnvelope(r, &req); err != nil {
 		return decodeStatus(err), err
 	}
 	if req.Model == "" {

@@ -53,7 +53,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) (int,
 		return http.StatusNotImplemented, apiErr(http.StatusNotImplemented, CodeNotImplemented, "streaming sessions disabled (CAPool = 0)")
 	}
 	var req SessionRequest
-	if err := decodeBody(r, &req); err != nil {
+	if _, err := readEnvelope(r, &req); err != nil {
 		return decodeStatus(err), err
 	}
 	// Session traffic survives until the last shed tier.
@@ -176,28 +176,38 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 			if len(line) == 0 {
 				continue
 			}
+			// The line stays in the scanner's buffer: its pixels are
+			// decoded before the next Scan reuses it.
 			var f SessionFrame
-			dec := json.NewDecoder(bytes.NewReader(line))
-			dec.DisallowUnknownFields()
-			if err := dec.Decode(&f); err != nil {
+			frame, err := decodeEnvelope(line, &f)
+			if err != nil {
 				readErr <- wrapErr(http.StatusBadRequest, CodeBadRequest, "malformed frame line", err)
 				cancel()
 				return
 			}
-			raw, err := validateImageWire(f.Scene)
+			raw, err := frame.pixels(&f.Scene)
 			if err != nil {
+				frame.release()
 				readErr <- wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid frame scene", err)
 				cancel()
 				return
 			}
+			img := imageFromRaw(f.Scene, raw)
+			frame.release()
 			select {
-			case in <- imageFromRaw(f.Scene, raw):
+			case in <- img:
 			case <-ctx.Done():
 				return
 			}
 		}
 		if err := sc.Err(); err != nil {
-			readErr <- wrapErr(http.StatusBadRequest, CodeBadRequest, "frame stream read failed", err)
+			// A line over the cap gets the code a request body over the
+			// same cap gets.
+			if errors.Is(err, bufio.ErrTooLong) {
+				readErr <- wrapErr(http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "frame line over the 64 MB cap", err)
+			} else {
+				readErr <- wrapErr(http.StatusBadRequest, CodeBadRequest, "frame stream read failed", err)
+			}
 			cancel()
 		}
 	}()

@@ -71,10 +71,24 @@ const maxWireDim = 1 << 16
 // cache hit never pays the float64 materialisation — imageFromRaw runs
 // only on a miss.
 func validateImageWire(w ImageWire) ([]byte, error) {
-	if w.H <= 0 || w.W <= 0 || w.H > maxWireDim || w.W > maxWireDim || (w.C != 1 && w.C != 3) {
-		return nil, fmt.Errorf("server: invalid image dims %dx%dx%d", w.H, w.W, w.C)
+	if err := checkImageDims(w); err != nil {
+		return nil, err
 	}
 	raw, err := base64.StdEncoding.DecodeString(w.Pix)
+	return checkImagePix(w, raw, err)
+}
+
+// checkImageDims is validateImageWire's dimension check.
+func checkImageDims(w ImageWire) error {
+	if w.H <= 0 || w.W <= 0 || w.H > maxWireDim || w.W > maxWireDim || (w.C != 1 && w.C != 3) {
+		return fmt.Errorf("server: invalid image dims %dx%dx%d", w.H, w.W, w.C)
+	}
+	return nil
+}
+
+// checkImagePix checks the base64 decode of w's payload: raw and err as
+// the decode returned them.
+func checkImagePix(w ImageWire, raw []byte, err error) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: image pixel data: %w", err)
 	}
