@@ -21,7 +21,8 @@
 //     even in PhysicalNoisy fidelity.
 //
 //   - Isolation: the sensor Array latches exposure state, so each worker
-//     clones its own array; the programmed MR banks (CA weights and the
+//     holds its own array, a clone of the prototype recycled through the
+//     Pipeline's latch pool; the programmed MR banks (CA weights and the
 //     optional MVM matrix) are immutable after programming and shared.
 package pipeline
 
@@ -165,6 +166,11 @@ type Pipeline struct {
 	ca    *oc.Acquisitor
 	pm    *oc.ProgrammedMatrix
 	proto *sensor.Array
+	// latches recycles the workers' clones of proto between runs: a
+	// 256x256 latch is 512 KB, too large to allocate per worker per
+	// micro-batch. Capture overwrites the whole latch, so a reused one
+	// carries nothing over.
+	latches sync.Pool
 	// sensorFaults are the chaos plan's comparator stuck-ats, applied to
 	// the captured frame codes before any optical stage (nil in the
 	// common no-chaos case — a zero-cost branch per frame).
@@ -201,6 +207,7 @@ func New(cfg Config) (*Pipeline, error) {
 		proto = arr
 	}
 	p := &Pipeline{cfg: cfg, proto: proto}
+	p.latches.New = func() any { return proto.Clone() }
 	if cfg.CAPool != 0 || cfg.Weights != nil || cfg.Kernel != nil || cfg.Infer != nil {
 		if cfg.Core == nil {
 			return nil, fmt.Errorf("pipeline: CA/MVM/kernel/infer stages enabled but no optical core configured")
@@ -478,7 +485,7 @@ type job struct {
 // run is the shared engine: it drains jobs with the worker pool, hands
 // each Result to emit, and returns the merged run stats. known caps the
 // pool when the caller knows the job count up front (a micro-batch of 2
-// frames should not clone NumCPU sensor arrays); 0 means unknown.
+// frames should not hold NumCPU sensor latches); 0 means unknown.
 func (p *Pipeline) run(known int, jobs <-chan job, emit func(Result)) *Stats {
 	start := time.Now()
 	workers := p.cfg.Workers
@@ -492,10 +499,11 @@ func (p *Pipeline) run(known int, jobs <-chan job, emit func(Result)) *Stats {
 	for w := 0; w < workers; w++ {
 		st := &Stats{}
 		locals[w] = st
-		arr := p.proto.Clone()
+		arr := p.latches.Get().(*sensor.Array)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer p.latches.Put(arr)
 			for j := range jobs {
 				// emit targets either a distinct slice index or a
 				// channel — both safe from concurrent workers.

@@ -13,6 +13,13 @@ import (
 // safe only because every cached endpoint is deterministic in its key
 // (the server skips the cache for noisy compress/matvec; see Server).
 //
+// A body is admitted on its key's second sighting. The first put of a
+// key stores the key alone: a body-less entry in the same LRU, counted
+// against the same entry bound. Only a second put stores the body, so a
+// key that is never repeated never holds bytes, while a hot key keeps
+// its body until cap newer distinct keys have been seen, as it would if
+// every body were stored. The price is that a key's first repeat misses.
+//
 // Eviction is double-bounded: by entry count and by total body bytes,
 // because bodies are client-sized (a matvec response can be megabytes) —
 // an entry-count bound alone would let a few hundred large responses pin
@@ -22,6 +29,7 @@ type responseCache struct {
 	cap      int
 	maxBytes int
 	bytes    int
+	bodies   int        // entries holding a body
 	ll       *list.List // front = most recently used
 	items    map[cacheKey]*list.Element
 }
@@ -32,6 +40,7 @@ const cacheMaxBytes = 64 << 20
 
 type cacheKey [sha256.Size]byte
 
+// cacheEntry is one key; body is nil until the key's second sighting.
 type cacheEntry struct {
 	key  cacheKey
 	body []byte
@@ -70,7 +79,8 @@ func hashRequest(endpoint string, seed int64, parts ...[]byte) cacheKey {
 	return k
 }
 
-// get returns the cached body and marks it most recently used.
+// get returns the cached body and marks it most recently used. A key
+// seen once holds no body yet, so it misses.
 func (c *responseCache) get(key cacheKey) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -78,18 +88,20 @@ func (c *responseCache) get(key cacheKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.items[key]
-	if !ok {
+	if !ok || el.Value.(*cacheEntry).body == nil {
 		return nil, false
 	}
 	c.ll.MoveToFront(el)
 	return el.Value.(*cacheEntry).body, true
 }
 
-// put inserts a body, evicting least recently used entries while either
-// bound (entry count, total bytes) is exceeded. Bodies larger than the
-// whole byte budget are not cached at all.
+// put records a sighting of key with its body: the first stores the key
+// alone, a later one the body. It then evicts least recently used
+// entries while the entry bound is exceeded, and least recently used
+// bodies while the byte bound is. Bodies larger than the whole byte
+// budget are not cached at all.
 func (c *responseCache) put(key cacheKey, body []byte) {
-	if c == nil || len(body) > cacheMaxBytes {
+	if c == nil || len(body) > c.maxBytes {
 		return
 	}
 	c.mu.Lock()
@@ -97,32 +109,46 @@ func (c *responseCache) put(key cacheKey, body []byte) {
 	if el, ok := c.items[key]; ok {
 		c.ll.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
+		if e.body == nil {
+			c.bodies++
+		}
 		c.bytes += len(body) - len(e.body)
 		e.body = body
 	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-		c.bytes += len(body)
+		c.items[key] = c.ll.PushFront(&cacheEntry{key: key})
 	}
-	for c.ll.Len() > c.cap || c.bytes > c.maxBytes {
-		last := c.ll.Back()
-		if last == nil {
-			break
+	for c.ll.Len() > c.cap {
+		c.remove(c.ll.Back())
+	}
+	// Body-less entries free no bytes, so the byte bound skips them.
+	for el := c.ll.Back(); c.bytes > c.maxBytes; {
+		prev := el.Prev()
+		if el.Value.(*cacheEntry).body != nil {
+			c.remove(el)
 		}
-		e := last.Value.(*cacheEntry)
-		c.ll.Remove(last)
-		delete(c.items, e.key)
+		el = prev
+	}
+}
+
+// remove drops one entry; c.mu must be held.
+func (c *responseCache) remove(el *list.Element) {
+	e := el.Value.(*cacheEntry)
+	c.ll.Remove(el)
+	delete(c.items, e.key)
+	if e.body != nil {
+		c.bodies--
 		c.bytes -= len(e.body)
 	}
 }
 
-// len reports the current entry count.
+// len reports the number of bodies held; keys seen once do not count.
 func (c *responseCache) len() int {
 	if c == nil {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.bodies
 }
 
 // capacity reports the configured entry bound (0 when disabled).

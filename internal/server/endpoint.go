@@ -92,8 +92,12 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 			if op.b != nil {
 				res, status, err := s.submitFrame(r, op.b, seed, img)
 				if err != nil {
+					// A timed-out or cancelled frame may still be in its
+					// batch, so its scene is left to the garbage collector.
 					return nil, status, err
 				}
+				// A result arrives only once its whole batch has run.
+				putScene(img)
 				s.traceFrame(w, endpoint, op.target, start, res)
 				if res.Degraded {
 					s.flagDegraded(w)
@@ -105,6 +109,7 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 				if payload, err = op.direct(w, img, seed, start); err != nil {
 					return nil, errStatus(err, http.StatusBadRequest), err
 				}
+				putScene(img)
 			}
 			body, err := json.Marshal(payload)
 			if err != nil {

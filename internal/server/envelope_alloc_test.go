@@ -14,11 +14,11 @@ import (
 )
 
 // TestEnvelopeIngestAllocFreeBeyondImage pins ingest's memory: once the
-// pools are warm, reading a 256×256×3 /v1/process body, decoding it and
-// materialising its scene allocates little beyond the scene's own
-// 1.5 MB of float64 samples. The strict decode it replaced allocated
-// ~12.5 MB per body: the decoder's growing read buffer, the 2 MB pix_b64
-// string and the base64 output.
+// pools are warm, reading a 256×256×3 /v1/process body, decoding it,
+// materialising its scene and returning the scene to its pool allocates
+// at most 64 KiB, against the scene's own 1.5 MB of float64 samples. The
+// strict decode it replaced allocated ~12.5 MB per body: the decoder's
+// growing read buffer, the 2 MB pix_b64 string and the base64 output.
 func TestEnvelopeIngestAllocFreeBeyondImage(t *testing.T) {
 	// sync.Pool keeps a per-P private slot that other Ps cannot steal,
 	// so a goroutine that migrates between Ps misses the pool now and
@@ -44,7 +44,7 @@ func TestEnvelopeIngestAllocFreeBeyondImage(t *testing.T) {
 		if in.body != nil {
 			t.Fatal("the body buffer is still checked out after its pixels were decoded")
 		}
-		imageFromRaw(req.Scene, raw)
+		putScene(imageFromRaw(req.Scene, raw))
 		in.release()
 	}
 	ingestOnce() // warm the pools
@@ -57,9 +57,9 @@ func TestEnvelopeIngestAllocFreeBeyondImage(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	perRun := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	image := float64(8 * 256 * 256 * 3)
-	t.Logf("%.0f bytes allocated per ingest (image %.0f)", perRun, image)
-	if perRun > 1.1*image {
-		t.Fatalf("ingest allocated %.0f bytes per body, want <= %.0f (1.1x the image)", perRun, 1.1*image)
+	const bound = 64 << 10
+	t.Logf("%.0f bytes allocated per ingest (image %d)", perRun, 8*256*256*3)
+	if perRun > bound {
+		t.Fatalf("ingest allocated %.0f bytes per body, want <= %d (64 KiB)", perRun, bound)
 	}
 }

@@ -86,6 +86,36 @@ func postJSON(t *testing.T, url string, v any, out any) (int, []byte) {
 	return resp.StatusCode, buf.Bytes()
 }
 
+// postRepeats posts req three times to a cacheable endpoint on a fresh
+// key. The cache admits a body on its key's second sighting, so requests
+// 1 and 2 must miss and request 3 must hit, with three identical bodies.
+// It returns the body and the three responses' headers.
+func postRepeats(t *testing.T, url string, req any) ([]byte, [3]http.Header) {
+	t.Helper()
+	var bodies [3][]byte
+	var hdrs [3]http.Header
+	for i, want := range []string{"miss", "miss", "hit"} {
+		resp := postRaw(t, url, req)
+		var buf bytes.Buffer
+		_, err := buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s request %d: status %d (%s)", url, i+1, resp.StatusCode, buf.String())
+		}
+		if got := resp.Header.Get("X-Lightator-Cache"); got != want {
+			t.Errorf("%s request %d: X-Lightator-Cache = %q, want %s", url, i+1, got, want)
+		}
+		bodies[i], hdrs[i] = buf.Bytes(), resp.Header
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) || !bytes.Equal(bodies[0], bodies[2]) {
+		t.Errorf("%s: the three responses differ; a miss and a hit must serve the same bytes", url)
+	}
+	return bodies[0], hdrs
+}
+
 // TestConcurrentCompressMatchesDirect is the acceptance-criterion test:
 // many concurrent clients hitting /v1/compress — so their requests
 // coalesce into shared micro-batches — get responses byte-identical to
@@ -422,18 +452,15 @@ func TestMatVecMatchesDirect(t *testing.T) {
 func TestSimulateAndHealth(t *testing.T) {
 	acc := testAccelerator(t, lightator.Physical)
 	srv, ts := testServer(t, acc, lightator.ServeOptions{})
+	// Repeats: the second misses, the third is a cache hit, and every
+	// body is identical (postRepeats also requires status 200).
+	body, _ := postRepeats(t, ts.URL+"/v1/simulate", lightator.SimulateRequest{Model: "lenet"})
 	var rep lightator.PerformanceReport
-	status, body := postJSON(t, ts.URL+"/v1/simulate", lightator.SimulateRequest{Model: "lenet"}, &rep)
-	if status != http.StatusOK {
-		t.Fatalf("status %d (%s)", status, body)
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
 	}
 	if rep.FPS <= 0 || rep.Model != "lenet" {
 		t.Errorf("implausible report: model=%q fps=%g", rep.Model, rep.FPS)
-	}
-	// Repeat: must be a cache hit with identical bytes.
-	status2, body2 := postJSON(t, ts.URL+"/v1/simulate", lightator.SimulateRequest{Model: "lenet"}, nil)
-	if status2 != http.StatusOK || !bytes.Equal(body, body2) {
-		t.Errorf("cached simulate response differs")
 	}
 	if status, _ := postJSON(t, ts.URL+"/v1/simulate", lightator.SimulateRequest{Model: "nope"}, nil); status != http.StatusBadRequest {
 		t.Errorf("unknown model got %d, want 400", status)
@@ -473,18 +500,16 @@ func TestSimulateAndHealth(t *testing.T) {
 }
 
 // TestCompressCacheDeterministicOnly: deterministic fidelities serve
-// repeats from the cache with identical bytes; PhysicalNoisy bypasses the
-// cache entirely (yet stays reproducible thanks to seeding).
+// repeats from the cache with identical bytes, from the second repeat
+// on; PhysicalNoisy bypasses the cache entirely (yet stays reproducible
+// thanks to seeding).
 func TestCompressCacheDeterministicOnly(t *testing.T) {
 	scene := testScene(11, 32, 32)
 	acc := testAccelerator(t, lightator.Physical)
 	srv, ts := testServer(t, acc, lightator.ServeOptions{Workers: 1, BatchDelay: time.Millisecond})
 	req := lightator.NewCompressRequest(lightator.EncodeImage(scene), nil)
-	_, body1 := postJSON(t, ts.URL+"/v1/compress", req, nil)
-	_, body2 := postJSON(t, ts.URL+"/v1/compress", req, nil)
-	if !bytes.Equal(body1, body2) {
-		t.Error("cached compress response differs from computed one")
-	}
+	// The second request misses, the third hits, all with one body.
+	postRepeats(t, ts.URL+"/v1/compress", req)
 	if m := srv.Metrics(); m.Endpoints["/v1/compress"].CacheHits == 0 {
 		t.Errorf("no cache hit in deterministic fidelity: %+v", m.Endpoints["/v1/compress"])
 	}

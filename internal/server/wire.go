@@ -11,6 +11,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync"
 
 	"lightator/internal/sensor"
 	"lightator/internal/session"
@@ -99,13 +100,34 @@ func checkImagePix(w ImageWire, raw []byte, err error) ([]byte, error) {
 	return raw, nil
 }
 
-// imageFromRaw materialises the image from validated raw sample bytes.
+// scenePool holds materialised request images for reuse. A 256x256 RGB
+// scene is 1.5 MB of float64 samples, the largest allocation a miss
+// makes; handleFrame returns a scene once nothing can still read it.
+var scenePool sync.Pool
+
+// imageFromRaw materialises the image from validated raw sample bytes
+// into a pooled image; every sample is overwritten.
 func imageFromRaw(w ImageWire, raw []byte) *sensor.Image {
-	im := sensor.NewImage(w.H, w.W, w.C)
+	n := w.H * w.W * w.C
+	im, ok := scenePool.Get().(*sensor.Image)
+	if ok && cap(im.Pix) >= n {
+		im.H, im.W, im.C, im.Pix = w.H, w.W, w.C, im.Pix[:n]
+	} else {
+		im = sensor.NewImage(w.H, w.W, w.C)
+	}
 	for i := range im.Pix {
 		im.Pix[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return im
+}
+
+// putScene returns a scene from imageFromRaw to its pool. The caller
+// must hold the only reference left: no batch, stage or response may
+// still read it. Oversized images are dropped.
+func putScene(im *sensor.Image) {
+	if 8*cap(im.Pix) <= maxPooled {
+		scenePool.Put(im)
+	}
 }
 
 // EncodeFrame converts a frame readout to its wire form.
