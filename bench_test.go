@@ -1,6 +1,7 @@
 package lightator_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -54,9 +55,10 @@ func BenchmarkBankModelCoefficients(b *testing.B) {
 		b.Fatal(err)
 	}
 	levels := []int{0, 3, 7, 8, 11, 15, 5, 9, 12}
+	coeffs := make([]float64, len(levels))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := bm.Coefficients(levels); err != nil {
+		if err := bm.Coefficients(coeffs, levels); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -600,6 +602,63 @@ func BenchmarkInferApply(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := m.Apply(plane, oc.DeriveSeed(9, i), 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkNewServer measures constructing a served accelerator at
+// DefaultConfig: New (sensor, CA, kernel and model programming plus the
+// built-ins' calibration) and NewServer with 2 workers (the pipelines
+// and the agreement sweep behind every model's reference_agreement) —
+// the work lightator-serve does before /readyz answers. Run with
+// -benchmem for bytes and allocations per construction.
+func BenchmarkNewServer(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		acc, err := lightator.New(lightator.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := acc.NewServer(lightator.ServeOptions{Workers: 2})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := srv.Drain(context.Background()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInferReference measures the exact digital reference of each
+// built-in model over a 128x128 CA plane (DefaultConfig's compressed
+// plane): the quantized network the agreement sweep compares every
+// optical pass against.
+func BenchmarkInferReference(b *testing.B) {
+	core, err := oc.NewCore(4, 4, oc.Ideal)
+	if err != nil {
+		b.Fatal(err)
+	}
+	e, err := infer.NewEngine(core, 2, 128, 128, 7)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(10))
+	plane := sensor.NewImage(128, 128, 1)
+	for i := range plane.Pix {
+		plane.Pix[i] = rng.Float64()
+	}
+	for _, name := range []string{"tiny-cnn", "tiny-mlp"} {
+		m, err := e.Model(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Reference(plane); err != nil {
 					b.Fatal(err)
 				}
 			}

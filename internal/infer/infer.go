@@ -85,12 +85,9 @@ type stage struct {
 	bias []float64
 	conv *nn.Conv2D
 
-	// refW is the bank-grid-quantized normalised weight matrix — exactly
-	// the levels the MRs are tuned to (core.SnapWeight), as exact
-	// floats. Reference runs the quantized MVM digitally with it.
-	refW [][]float64
 	// core supplies the activation grid Reference mirrors
-	// (QuantizeActivation).
+	// (QuantizeActivation); Reference reads the weight grid back from pm's
+	// programmed levels (GridApplyInto).
 	core *oc.Core
 }
 
@@ -211,14 +208,10 @@ func buildMVMStage(core *oc.Core, layerName string, wData, bias []float64, sx fl
 	}
 	cols := len(wData) / rows
 	w := make([][]float64, rows)
-	refW := make([][]float64, rows)
 	for r := 0; r < rows; r++ {
 		w[r] = make([]float64, cols)
-		refW[r] = make([]float64, cols)
 		for c := 0; c < cols; c++ {
-			v := wData[r*cols+c] / sw
-			w[r][c] = v
-			refW[r][c] = core.SnapWeight(v)
+			w[r][c] = wData[r*cols+c] / sw
 		}
 	}
 	pm, err := core.ProgramCalibrated(w)
@@ -227,7 +220,7 @@ func buildMVMStage(core *oc.Core, layerName string, wData, bias []float64, sx fl
 	}
 	return stage{
 		pm: pm, sw: sw, sx: sx, bias: append([]float64(nil), bias...),
-		refW: refW, core: core,
+		core: core,
 	}, nil
 }
 
@@ -491,21 +484,15 @@ func (st *stage) quantizedInput(data []float64) *[]float64 {
 
 // mvmInto executes one normalised activation vector either through the
 // optical core (seeded, via the shard's reusable Applier) or through the
-// exact digital quantized reference (grid weights times the already
-// grid-quantized activations of quantizedInput, plain arithmetic; ap may
-// be nil), writing the result into dst (len == pm.Rows() == len(refW)).
+// exact digital quantized reference (the programmed levels' grid weights
+// times the already grid-quantized activations of quantizedInput, plain
+// arithmetic; ap may be nil), writing the result into dst
+// (len == pm.Rows()).
 func (st *stage) mvmInto(ap *oc.Applier, dst, vec []float64, ref bool, seed int64) error {
 	if !ref {
 		return ap.ApplySeededInto(dst, vec, seed)
 	}
-	for r, row := range st.refW {
-		sum := 0.0
-		for c, w := range row {
-			sum += w * vec[c]
-		}
-		dst[r] = sum
-	}
-	return nil
+	return st.pm.GridApplyInto(dst, vec)
 }
 
 // Ops returns the modeled analog op counts of one Apply — the

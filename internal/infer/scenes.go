@@ -121,10 +121,17 @@ func Agreement(optical, reference [][]float64) float64 {
 }
 
 // Calibrate runs batch fidelity-true compressed planes (see
-// CalibrationPlanes) through the network in training mode to set the
-// ActQuant running-max scales, then freezes them. Networks trained with
-// package train are already calibrated; this is for hand-built or
-// He-initialised networks that have never seen data.
+// CalibrationPlanes) through the network to set the ActQuant running-max
+// scales, then freezes them. Networks trained with package train are
+// already calibrated; this is for hand-built or He-initialised networks
+// that have never seen data.
+//
+// The pass is an inference-mode forward in which every unfrozen ActQuant
+// first folds its input's batch maximum into its scale — the update a
+// training-mode forward makes, with nothing kept for a backward pass. A
+// compiled model holds its digital layers for life, so a training
+// forward's masks and cached inputs would stay resident beside the
+// programmed weights without ever being read.
 func Calibrate(net *nn.Sequential, core *oc.Core, poolN, h, w, batch int, seed int64) error {
 	if batch < 1 {
 		batch = 1
@@ -141,8 +148,19 @@ func Calibrate(net *nn.Sequential, core *oc.Core, poolN, h, w, batch int, seed i
 	for i, p := range planes {
 		copy(x.Data[i*size:(i+1)*size], p.Pix)
 	}
-	if _, err := net.Forward(x, true); err != nil {
-		return fmt.Errorf("calibration forward: %w", err)
+	for _, l := range net.Layers {
+		if aq, ok := l.(*nn.ActQuant); ok && !aq.Frozen {
+			batchMax := 0.0
+			for _, v := range x.Data {
+				if v > batchMax {
+					batchMax = v
+				}
+			}
+			aq.UpdateScale(batchMax)
+		}
+		if x, err = l.Forward(x, false); err != nil {
+			return fmt.Errorf("calibration forward: nn: %s forward: %w", l.Name(), err)
+		}
 	}
 	nn.FreezeActQuant(net, true)
 	return nil

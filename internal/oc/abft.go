@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"lightator/internal/fault"
+	"lightator/internal/mapping"
 	"lightator/internal/photonics"
 )
 
@@ -128,24 +129,22 @@ func (pm *ProgrammedMatrix) initABFT() error {
 	// consistent with what the hardware actually holds.
 	mean := make([]float64, cols)
 	for r := 0; r < rows; r++ {
-		base := r * cols
-		for j := 0; j < cols; j++ {
-			mean[j] += c.bank.LevelToWeight(pm.levels[base+j])
+		for j, l := range pm.levels[r*cols : (r+1)*cols] {
+			mean[j] += c.gridW[l]
 		}
 	}
 	inv := 1 / float64(rows)
-	chkLevels := make([]int, cols)
-	for j := range mean {
-		chkLevels[j] = c.bank.WeightToLevel(mean[j] * inv)
-	}
 	chk := make([]float64, cols)
+	var arm [mapping.MRsPerArm]int
 	for s := 0; s+1 < len(pm.armBounds); s++ {
 		lo, hi := pm.armBounds[s], pm.armBounds[s+1]
-		cf, err := c.armCoefficients(chkLevels[lo:hi])
-		if err != nil {
+		chkLevels := arm[:hi-lo]
+		for k := range chkLevels {
+			chkLevels[k] = c.bank.WeightToLevel(mean[lo+k] * inv)
+		}
+		if err := c.armCoefficients(chk[lo:hi], chkLevels); err != nil {
 			return err
 		}
-		copy(chk[lo:hi], cf)
 	}
 	// δ_j = s_j − R·c̃_j from the known effective coefficients — exact,
 	// so quantization of the checksum row costs no detection margin.

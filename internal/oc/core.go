@@ -93,6 +93,11 @@ type Core struct {
 	// precomputed so the hot quantization loop is one multiply, one
 	// round and one table load per element.
 	actGrid []float64
+	// gridW[l] is bank level l's grid weight, LevelToWeight(l): the exact
+	// coefficient a tuned MR realises in Ideal fidelity. Indexed by the
+	// byte-wide programmed level (WBits <= 8), so reading a level back as
+	// a weight is one load with no bounds check and no division.
+	gridW [256]float64
 }
 
 // NewCore builds a core for the given [W:A] precision configuration.
@@ -109,6 +114,9 @@ func NewCore(wBits, aBits int, fid Fidelity) (*Core, error) {
 		ABits:    aBits,
 		Fidelity: fid,
 		bank:     bm,
+	}
+	for l := 0; l < bm.Levels(); l++ {
+		c.gridW[l] = bm.LevelToWeight(l)
 	}
 	levels := (int(1) << uint(aBits)) - 1
 	c.actGrid = make([]float64, levels+1)
@@ -158,14 +166,6 @@ func (c *Core) Health() *fault.Registry {
 	return c.health
 }
 
-// SnapWeight maps a normalised weight in [-1,1] onto the signed bank
-// level grid — the exact coefficient the tuned MR realises in Ideal
-// fidelity (LevelToWeight of WeightToLevel). Digital reference paths
-// (internal/infer) use it so the weight grid has a single owner.
-func (c *Core) SnapWeight(v float64) float64 {
-	return c.bank.LevelToWeight(c.bank.WeightToLevel(v))
-}
-
 // QuantizeActivation maps x in [0,1] to its ABits code's value,
 // Round(x·n)/n for n = 2^ABits-1. Values are clipped, matching the
 // saturating CRC/driver chain; NaN propagates, as the direct expression
@@ -202,9 +202,10 @@ type ProgrammedMatrix struct {
 	// coeffs holds the effective transfer coefficients for the configured
 	// fidelity, rows*cols row-major: row r spans coeffs[r*cols:(r+1)*cols].
 	coeffs []float64
-	// levels holds the quantized MR levels in the same layout (HeaterPower
-	// reads them).
-	levels []int
+	// levels holds the quantized MR levels in the same layout, one byte
+	// each (WBits <= 8). They are the matrix's one copy of its weight grid:
+	// GridApplyInto, HeaterPower and the ABFT checksum row read them.
+	levels []uint8
 	// armBounds are the column offsets of the segment boundaries shared by
 	// every row: 0, 9, 18, ..., cols. Segment s of row r covers columns
 	// [armBounds[s], armBounds[s+1]).
@@ -254,7 +255,7 @@ func (c *Core) Program(w [][]float64) (*ProgrammedMatrix, error) {
 		rows:      rows,
 		cols:      cols,
 		coeffs:    make([]float64, rows*cols),
-		levels:    make([]int, rows*cols),
+		levels:    make([]uint8, rows*cols),
 		armBounds: armBounds(cols),
 		rowDefect: make([]float64, rows),
 	}
@@ -308,14 +309,25 @@ func armBounds(cols int) []int {
 	return append(b, cols)
 }
 
-// armCoefficients returns the effective transfer coefficients of one arm
-// programmed at the given levels: the exact grid weights in Ideal
-// fidelity, the crosstalk-true bank transfer otherwise.
-func (c *Core) armCoefficients(levels []int) ([]float64, error) {
+// armCoefficients writes the effective transfer coefficients of one arm
+// programmed at the given levels into dst (len == len(levels)): the exact
+// grid weights in Ideal fidelity, the crosstalk-true bank transfer
+// otherwise.
+func (c *Core) armCoefficients(dst []float64, levels []int) error {
 	if c.Fidelity == Ideal {
-		return c.bank.IdealCoefficients(levels)
+		return c.bank.IdealCoefficients(dst, levels)
 	}
-	return c.bank.Coefficients(levels)
+	return c.bank.Coefficients(dst, levels)
+}
+
+// widen copies one arm's byte-wide levels into the caller's stack array,
+// returning the filled prefix the bank model reads.
+func widen(arm *[mapping.MRsPerArm]int, levels []uint8) []int {
+	a := arm[:len(levels)]
+	for i, l := range levels {
+		a[i] = int(l)
+	}
+	return a
 }
 
 // mapRow is the weight-mapping walk behind Program and
@@ -323,21 +335,20 @@ func (c *Core) armCoefficients(levels []int) ([]float64, error) {
 // level grid into levels, writes every arm segment's effective
 // coefficients (segments bounded by bounds) into coeffs, and returns the
 // row's defect constant κ_r (see the rowDefect field).
-func (c *Core) mapRow(coeffs []float64, levels []int, w []float64, scale float64, bounds []int) (float64, error) {
+func (c *Core) mapRow(coeffs []float64, levels []uint8, w []float64, scale float64, bounds []int) (float64, error) {
 	for i, v := range w {
-		levels[i] = c.bank.WeightToLevel(v / scale)
+		levels[i] = uint8(c.bank.WeightToLevel(v / scale))
 	}
+	var arm [mapping.MRsPerArm]int
 	for s := 0; s+1 < len(bounds); s++ {
 		lo, hi := bounds[s], bounds[s+1]
-		cf, err := c.armCoefficients(levels[lo:hi])
-		if err != nil {
+		if err := c.armCoefficients(coeffs[lo:hi], widen(&arm, levels[lo:hi])); err != nil {
 			return 0, err
 		}
-		copy(coeffs[lo:hi], cf)
 	}
 	sum := 0.0
 	for i, l := range levels {
-		sum += c.bank.LevelToWeight(l) - coeffs[i]
+		sum += c.gridW[l] - coeffs[i]
 	}
 	return sum / float64(len(w)), nil
 }
@@ -604,13 +615,42 @@ func ShardRange(n, workers int, fn func(lo, hi int) error) error {
 // watts.
 func (pm *ProgrammedMatrix) HeaterPower() float64 {
 	total := 0.0
+	var arm [mapping.MRsPerArm]int
 	for r := 0; r < pm.rows; r++ {
 		base := r * pm.cols
 		for s := 0; s+1 < len(pm.armBounds); s++ {
-			total += pm.core.bank.HeaterPower(pm.levels[base+pm.armBounds[s] : base+pm.armBounds[s+1]])
+			total += pm.core.bank.HeaterPower(widen(&arm, pm.levels[base+pm.armBounds[s]:base+pm.armBounds[s+1]]))
 		}
 	}
 	return total
+}
+
+// GridApplyInto computes the exact grid MVM into dst (len == Rows): every
+// programmed level read back as its grid weight (the coefficient the
+// tuned MR realises in Ideal fidelity) times x, in plain float
+// arithmetic, rows in order and each row summed over its columns in
+// order. Nothing of the optical path applies — no activation
+// quantization, crosstalk, noise, defect calibration, fault or ABFT — so
+// digital references (package infer) pass activations already on the
+// ABits grid. Safe for concurrent use.
+func (pm *ProgrammedMatrix) GridApplyInto(dst, x []float64) error {
+	if len(dst) != pm.rows {
+		return fmt.Errorf("oc: destination length %d, want %d rows", len(dst), pm.rows)
+	}
+	if len(x) != pm.cols {
+		return fmt.Errorf("oc: input length %d, want %d", len(x), pm.cols)
+	}
+	grid, cols := &pm.core.gridW, pm.cols
+	for r := range dst {
+		row := pm.levels[r*cols : (r+1)*cols]
+		x := x[:len(row)]
+		sum := 0.0
+		for c, l := range row {
+			sum += grid[l] * x[c]
+		}
+		dst[r] = sum
+	}
+	return nil
 }
 
 // MeanHeaterPowerPerMR exposes the average per-MR tuning power of the
@@ -656,7 +696,7 @@ func (c *Core) AnalogWeightsInto(out, w []float64, rows, cols int) error {
 		}
 		return nil
 	}
-	bounds, levels := armBounds(cols), make([]int, cols)
+	bounds, levels := armBounds(cols), make([]uint8, cols)
 	for r := 0; r < rows; r++ {
 		row := out[r*cols : (r+1)*cols]
 		k, err := c.mapRow(row, levels, w[r*cols:(r+1)*cols], sw, bounds)

@@ -192,6 +192,95 @@ func TestHeaterPowerScalesWithSize(t *testing.T) {
 	}
 }
 
+// TestHeaterPowerReadsByteLevels: the byte-wide level store holds the
+// same levels the bank model tunes, so a programmed matrix's heater power
+// equals the bank's HeaterPower summed over the int levels of every arm
+// (rows in order, arms in order), at the paper's 4 bits and at the 8-bit
+// ceiling where levels fill the whole byte.
+func TestHeaterPowerReadsByteLevels(t *testing.T) {
+	for _, wBits := range []int{4, 8} {
+		c, err := NewCore(wBits, 4, Physical)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(wBits)))
+		w := make([][]float64, 5)
+		for r := range w {
+			w[r] = make([]float64, 23) // arms of 9, 9 and 5 taps
+			for j := range w[r] {
+				w[r][j] = rng.Float64()*2 - 1
+			}
+		}
+		w[0][0], w[0][1] = -1, 1 // the grid's end levels
+		pm, err := c.Program(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := 0.0
+		for _, row := range w {
+			for lo := 0; lo < len(row); lo += 9 {
+				hi := min(lo+9, len(row))
+				levels := make([]int, 0, hi-lo)
+				for _, v := range row[lo:hi] {
+					levels = append(levels, c.bank.WeightToLevel(v))
+				}
+				want += c.bank.HeaterPower(levels)
+			}
+		}
+		if got := pm.HeaterPower(); got != want {
+			t.Errorf("WBits %d: HeaterPower %v, bank sum over int levels %v", wBits, got, want)
+		}
+	}
+}
+
+// TestGridApplyIntoReadsLevels: the exact grid MVM multiplies each
+// programmed level's grid weight, LevelToWeight(WeightToLevel(w)), by x
+// and sums every row in column order — in every fidelity, since the
+// levels (not the crosstalk-true coefficients) are what it reads.
+func TestGridApplyIntoReadsLevels(t *testing.T) {
+	for _, fid := range []Fidelity{Ideal, Physical, PhysicalNoisy} {
+		for _, wBits := range []int{2, 4, 8} {
+			c, err := NewCore(wBits, 4, fid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(int64(wBits)))
+			w := make([][]float64, 7)
+			for r := range w {
+				w[r] = make([]float64, 20)
+				for j := range w[r] {
+					w[r][j] = rng.Float64()*2 - 1
+				}
+			}
+			w[0][0], w[0][1] = -1, 1
+			x := make([]float64, 20)
+			for j := range x {
+				x[j] = rng.Float64()
+			}
+			pm, err := c.Program(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, len(w))
+			if err := pm.GridApplyInto(got, x); err != nil {
+				t.Fatal(err)
+			}
+			for r, row := range w {
+				want := 0.0
+				for j, v := range row {
+					want += c.bank.LevelToWeight(c.bank.WeightToLevel(v)) * x[j]
+				}
+				if got[r] != want {
+					t.Errorf("%v WBits %d row %d: GridApplyInto %v, want %v", fid, wBits, r, got[r], want)
+				}
+			}
+			if pm.GridApplyInto(got[1:], x) == nil || pm.GridApplyInto(got, x[1:]) == nil {
+				t.Errorf("%v WBits %d: mis-sized destination or input accepted", fid, wBits)
+			}
+		}
+	}
+}
+
 // Property: for random well-formed inputs, the Ideal core's error vs exact
 // float arithmetic is bounded by the quantization budget.
 func TestIdealQuantizationErrorBound(t *testing.T) {

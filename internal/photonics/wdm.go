@@ -278,47 +278,56 @@ func (bm *BankModel) WeightToLevel(w float64) int {
 	return l
 }
 
-// Coefficients returns the effective per-channel differential coefficients
-// (crosstalk included, normalised by the weight scale) for an arm whose
-// rings are programmed to the given levels. len(levels) may be shorter
-// than the arm; remaining rings are parked far off resonance (treated as
-// transparent), modelling the unused/gray MRs of Fig. 6.
-func (bm *BankModel) Coefficients(levels []int) ([]float64, error) {
-	if len(levels) > bm.n {
-		return nil, fmt.Errorf("photonics: %d levels for %d rings", len(levels), bm.n)
+// Coefficients writes the effective per-channel differential
+// coefficients (crosstalk included, normalised by the weight scale) of an
+// arm whose first len(levels) rings are programmed to the given levels
+// into dst, one per channel: len(levels) <= len(dst) <= the arm width.
+// Remaining rings are parked far off resonance (treated as transparent),
+// modelling the unused/gray MRs of Fig. 6; channels past len(dst) are not
+// computed. dst is caller-owned, so programming a matrix allocates
+// nothing per arm.
+func (bm *BankModel) Coefficients(dst []float64, levels []int) error {
+	if err := bm.checkArm(dst, levels); err != nil {
+		return err
 	}
-	out := make([]float64, bm.n)
-	for j := 0; j < bm.n; j++ {
+	for j := range dst {
 		through := 1.0
 		dropped := 0.0
-		for k := 0; k < len(levels); k++ {
-			l := levels[k]
-			if l < 0 || l >= bm.levels {
-				return nil, fmt.Errorf("photonics: level %d outside [0,%d]", l, bm.levels-1)
-			}
+		for k, l := range levels {
 			o := j - k + bm.n - 1
 			dropped += through * bm.drop[l][o]
 			through *= bm.through[l][o]
 		}
-		out[j] = (through - dropped) / bm.weightScale
+		dst[j] = (through - dropped) / bm.weightScale
 	}
-	return out, nil
+	return nil
 }
 
-// IdealCoefficients returns the crosstalk-free coefficients: the exact
-// quantized logical weights.
-func (bm *BankModel) IdealCoefficients(levels []int) ([]float64, error) {
-	if len(levels) > bm.n {
-		return nil, fmt.Errorf("photonics: %d levels for %d rings", len(levels), bm.n)
+// IdealCoefficients writes the crosstalk-free coefficients into dst under
+// the same shape rules as Coefficients: the exact quantized logical
+// weights, and 0 for every parked channel.
+func (bm *BankModel) IdealCoefficients(dst []float64, levels []int) error {
+	if err := bm.checkArm(dst, levels); err != nil {
+		return err
 	}
-	out := make([]float64, bm.n)
 	for k, l := range levels {
-		if l < 0 || l >= bm.levels {
-			return nil, fmt.Errorf("photonics: level %d outside [0,%d]", l, bm.levels-1)
-		}
-		out[k] = bm.LevelToWeight(l)
+		dst[k] = bm.LevelToWeight(l)
 	}
-	return out, nil
+	clear(dst[len(levels):])
+	return nil
+}
+
+// checkArm validates one arm's levels and coefficient destination.
+func (bm *BankModel) checkArm(dst []float64, levels []int) error {
+	if len(levels) > len(dst) || len(dst) > bm.n {
+		return fmt.Errorf("photonics: %d levels into %d channels of a %d-ring arm", len(levels), len(dst), bm.n)
+	}
+	for _, l := range levels {
+		if l < 0 || l >= bm.levels {
+			return fmt.Errorf("photonics: level %d outside [0,%d]", l, bm.levels-1)
+		}
+	}
+	return nil
 }
 
 // HeaterPower returns the tuning power needed to hold the given levels.

@@ -166,8 +166,8 @@ func TestBankModelMatchesWeightBank(t *testing.T) {
 		t.Fatal(err)
 	}
 	exact := wb.TransferCoefficients()
-	fast, err := bm.Coefficients(levels)
-	if err != nil {
+	fast := make([]float64, 9)
+	if err := bm.Coefficients(fast, levels); err != nil {
 		t.Fatal(err)
 	}
 	for j := range exact {
@@ -183,12 +183,9 @@ func TestBankModelShortSegment(t *testing.T) {
 		t.Fatal(err)
 	}
 	// FC tail segments use fewer than 9 weights; remaining rings parked.
-	coeffs, err := bm.Coefficients([]int{15, 0, 8})
-	if err != nil {
+	coeffs := make([]float64, 9)
+	if err := bm.Coefficients(coeffs, []int{15, 0, 8}); err != nil {
 		t.Fatal(err)
-	}
-	if len(coeffs) != 9 {
-		t.Fatalf("got %d coefficients", len(coeffs))
 	}
 	// Parked channels see only residual crosstalk; their coefficients sit
 	// near the transparent value (close to +1/scale of full through).
@@ -210,12 +207,8 @@ func TestBankModelCoefficientAccuracyProperty(t *testing.T) {
 		for i := range levels {
 			levels[i] = rng.Intn(16)
 		}
-		coeffs, err := bm.Coefficients(levels)
-		if err != nil {
-			return false
-		}
-		ideal, err := bm.IdealCoefficients(levels)
-		if err != nil {
+		coeffs, ideal := make([]float64, 9), make([]float64, 9)
+		if bm.Coefficients(coeffs, levels) != nil || bm.IdealCoefficients(ideal, levels) != nil {
 			return false
 		}
 		for j := range coeffs {
@@ -256,10 +249,13 @@ func TestBankModelRejectsBadInput(t *testing.T) {
 		t.Error("12 bits accepted")
 	}
 	bm, _ := NewBankModel(9, 4)
-	if _, err := bm.Coefficients(make([]int, 10)); err == nil {
+	if err := bm.Coefficients(make([]float64, 10), make([]int, 10)); err == nil {
 		t.Error("oversized segment accepted")
 	}
-	if _, err := bm.Coefficients([]int{99}); err == nil {
+	if err := bm.Coefficients(make([]float64, 2), make([]int, 3)); err == nil {
+		t.Error("destination shorter than the programmed rings accepted")
+	}
+	if err := bm.Coefficients(make([]float64, 1), []int{99}); err == nil {
 		t.Error("invalid level accepted")
 	}
 }
