@@ -58,9 +58,9 @@ func main() {
 	readHeaderTimeout := flag.Duration("read-header-timeout", 0, "HTTP header read deadline (0 = default 10s, negative disables)")
 	idleTimeout := flag.Duration("idle-timeout", 0, "HTTP keep-alive idle deadline (0 = default 120s, negative disables)")
 	rejectDegraded := flag.Bool("reject-degraded", false, "answer 503 degraded_unavailable instead of degraded-flagged 200s")
-	shedCacheMiss := flag.Float64("shed-cache-miss", 0, "queue occupancy shedding uncached compute (0 = default 0.75, negative disables)")
-	shedNonSession := flag.Float64("shed-non-session", 0, "queue occupancy shedding all non-session compute (0 = default 0.90, negative disables)")
-	shedAll := flag.Float64("shed-all", 0, "queue occupancy shedding everything incl. sessions (0 = default 0.98, negative disables)")
+	shedCacheMiss := flag.Float64("shed-cache-miss", 0, "queue occupancy in (0,1] shedding uncached compute (0 = default 0.75, negative disables)")
+	shedNonSession := flag.Float64("shed-non-session", 0, "queue occupancy in (0,1] shedding all non-session compute (0 = default 0.90, negative disables)")
+	shedAll := flag.Float64("shed-all", 0, "queue occupancy in (0,1] shedding everything incl. sessions (0 = default 0.98, negative disables)")
 	faultPlanPath := flag.String("fault-plan", "", "JSON fault-injection plan activating chaos mode (see docs/FAULTS.md)")
 	flag.Parse()
 

@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
+	"hash"
 	"sync"
 )
 
@@ -63,17 +64,39 @@ func newResponseCache(capacity int) *responseCache {
 // hashRequest builds a cache key from an endpoint tag, the effective seed
 // and the request's content bytes.
 func hashRequest(endpoint string, seed int64, parts ...[]byte) cacheKey {
+	h := keyHash(endpoint, seed)
+	for _, p := range parts {
+		writePart(h, p)
+	}
+	return sumKey(h)
+}
+
+// keyHash starts a cache key: the endpoint tag and the effective seed.
+// Parts follow through writePart, or as writeUint64 of their length and
+// then their bytes when they arrive in pieces (ingest.scene).
+func keyHash(endpoint string, seed int64) hash.Hash {
 	h := sha256.New()
 	h.Write([]byte(endpoint))
+	writeUint64(h, uint64(seed))
+	return h
+}
+
+// writePart writes one content part, length-prefixed so concatenations
+// can't collide.
+func writePart(h hash.Hash, p []byte) {
+	writeUint64(h, uint64(len(p)))
+	h.Write(p)
+}
+
+// writeUint64 writes v little-endian.
+func writeUint64(h hash.Hash, v uint64) {
 	var s [8]byte
-	binary.LittleEndian.PutUint64(s[:], uint64(seed))
+	binary.LittleEndian.PutUint64(s[:], v)
 	h.Write(s[:])
-	for _, p := range parts {
-		// Length-prefix each part so concatenations can't collide.
-		binary.LittleEndian.PutUint64(s[:], uint64(len(p)))
-		h.Write(s[:])
-		h.Write(p)
-	}
+}
+
+// sumKey finishes a key started by keyHash.
+func sumKey(h hash.Hash) cacheKey {
 	var k cacheKey
 	h.Sum(k[:0])
 	return k

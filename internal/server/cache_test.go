@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -115,5 +117,94 @@ func TestCacheRefusesOversizedBody(t *testing.T) {
 	}
 	if c.len() != 0 || c.sizeBytes() != 0 {
 		t.Fatalf("len %d, %d bytes after oversized puts, want 0, 0", c.len(), c.sizeBytes())
+	}
+}
+
+// TestStreamedKeyMatchesHashRequest: the key handleFrame streams while a
+// scene decodes equals hashRequest over the decoded samples' bytes, the
+// way keys were built when ingest kept the raw bytes, on every frame
+// endpoint and on both decode paths. The scenes are wide enough to cross
+// a b64Stride boundary.
+func TestStreamedKeyMatchesHashRequest(t *testing.T) {
+	// The resolvers only look the batchers up; they never run here.
+	s := &Server{
+		compressB: &batcher{},
+		processB:  map[string]*batcher{"edge": {}},
+		inferB:    map[string]*batcher{"tiny-cnn": {}},
+	}
+	scene, plane := wireScene(1, 256, 3), wireScene(1, 600, 1)
+	mustJSON := func(v any) []byte {
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	resolve := func(endpoint string, body []byte) (frameOp, ingest) {
+		r := httptest.NewRequest("POST", endpoint, bytes.NewReader(body))
+		var op frameOp
+		var in ingest
+		var err error
+		switch endpoint {
+		case "/v1/capture":
+			var req CaptureRequest
+			if in, err = readEnvelope(r, &req); err == nil {
+				op, err = s.captureOp(&req)
+			}
+		case "/v1/compress":
+			var req CompressRequest
+			if in, err = readEnvelope(r, &req); err == nil {
+				op, err = s.compressOp(&req)
+			}
+		case "/v1/process":
+			var req ProcessRequest
+			if in, err = readEnvelope(r, &req); err == nil {
+				op, err = s.processOp(&req)
+			}
+		default:
+			var req InferRequest
+			if in, err = readEnvelope(r, &req); err == nil {
+				op, err = s.inferOp(&req)
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", endpoint, err)
+		}
+		return op, in
+	}
+	for _, tc := range []struct {
+		name, endpoint, tag string
+		body                []byte
+	}{
+		{"capture", "/v1/capture", "capture", mustJSON(NewCaptureRequest(scene, nil))},
+		{"compress", "/v1/compress", "compress", mustJSON(NewCompressRequest(scene, nil))},
+		{"process", "/v1/process", "process", mustJSON(NewProcessRequest(scene, "edge", nil))},
+		{"infer-scene", "/v1/infer", "infer-scene", mustJSON(InferRequest{Scene: &scene, Model: "tiny-cnn"})},
+		{"infer-plane", "/v1/infer", "infer-plane", mustJSON(InferRequest{Plane: &plane, Model: "tiny-cnn"})},
+	} {
+		// A space before the value's colon sends the body down the
+		// strict path.
+		strict := bytes.Replace(tc.body, []byte(`"pix_b64":`), []byte(`"pix_b64" :`), 1)
+		for path, body := range map[string][]byte{"fast": tc.body, "strict": strict} {
+			t.Run(tc.name+"/"+path, func(t *testing.T) {
+				op, in := resolve(tc.endpoint, body)
+				defer in.release()
+				if (in.at != nil) != (path == "fast") {
+					t.Fatalf("fast path taken = %v", in.at != nil)
+				}
+				if op.tag != tc.tag {
+					t.Fatalf("tag %q, want %q", op.tag, tc.tag)
+				}
+				img, key, err := op.scene(&in, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer putScene(img)
+				parts := append(append([][]byte{}, op.parts...), floatBytes(img.Pix), dimBytes(img.H, img.W, img.C))
+				if want := hashRequest(op.tag, 0, parts...); key != want {
+					t.Fatalf("streamed key %x, want hashRequest's %x", key, want)
+				}
+			})
+		}
 	}
 }

@@ -11,6 +11,7 @@ package server
 
 import (
 	"encoding/json"
+	"hash"
 	"net/http"
 	"time"
 
@@ -68,36 +69,27 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 		if err := s.admitCompute(); err != nil {
 			return errStatus(err, http.StatusServiceUnavailable), err
 		}
-		rawPix, err := in.pixels(op.input)
-		if err != nil {
-			return http.StatusBadRequest, wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid image", err)
-		}
 		// Cacheable in noisy fidelity only when the endpoint is
 		// noise-free (cacheAll); keys omit the seed because noise-free
 		// output is seed-independent. An active fault plan disables
 		// caching outright — injected faults are seed- and
 		// ladder-state-dependent, which the key does not capture.
 		cacheable := s.cache != nil && !s.chaos && (op.cacheAll || s.backend.Deterministic)
-		var key cacheKey
-		if cacheable {
-			parts := make([][]byte, 0, len(op.parts)+2)
-			parts = append(parts, op.parts...)
-			parts = append(parts, rawPix, dimBytes(op.input.H, op.input.W, op.input.C))
-			key = hashRequest(op.tag, 0, parts...)
+		img, key, err := op.scene(&in, cacheable)
+		if err != nil {
+			return http.StatusBadRequest, wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid image", err)
 		}
-		return s.respond(w, endpoint, start, cacheable, key, func() ([]byte, int, error) {
-			img := imageFromRaw(*op.input, rawPix)
+		computed := false
+		status, err := s.respond(w, endpoint, start, cacheable, key, func() ([]byte, int, error) {
+			computed = true
 			seed := s.effectiveSeed(p.env().Seed)
 			var payload any
 			if op.b != nil {
+				// submitFrame owns the scene from here on.
 				res, status, err := s.submitFrame(r, op.b, seed, img)
 				if err != nil {
-					// A timed-out or cancelled frame may still be in its
-					// batch, so its scene is left to the garbage collector.
 					return nil, status, err
 				}
-				// A result arrives only once its whole batch has run.
-				putScene(img)
 				s.traceFrame(w, endpoint, op.target, start, res)
 				if res.Degraded {
 					s.flagDegraded(w)
@@ -106,10 +98,11 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 					return nil, http.StatusInternalServerError, err
 				}
 			} else {
-				if payload, err = op.direct(w, img, seed, start); err != nil {
+				payload, err = op.direct(w, img, seed, start)
+				putScene(img)
+				if err != nil {
 					return nil, errStatus(err, http.StatusBadRequest), err
 				}
-				putScene(img)
 			}
 			body, err := json.Marshal(payload)
 			if err != nil {
@@ -117,7 +110,31 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 			}
 			return body, http.StatusOK, nil
 		})
+		if !computed {
+			// A cache hit answered without reading the scene.
+			putScene(img)
+		}
+		return status, err
 	}
+}
+
+// scene decodes op's input image from in and, when keyed, its cache key:
+// hashRequest(op.tag, 0, op.parts..., sample bytes, dims), with the
+// sample bytes streamed into the hash as the scene decodes.
+func (op *frameOp) scene(in *ingest, keyed bool) (*sensor.Image, cacheKey, error) {
+	var h hash.Hash
+	if keyed {
+		h = keyHash(op.tag, 0)
+		for _, p := range op.parts {
+			writePart(h, p)
+		}
+	}
+	img, err := in.scene(op.input, h)
+	if err != nil || !keyed {
+		return img, cacheKey{}, err
+	}
+	writePart(h, dimBytes(op.input.H, op.input.W, op.input.C))
+	return img, sumKey(h), nil
 }
 
 // captureOp resolves /v1/capture: noise-free, so responses cache in

@@ -6,22 +6,29 @@
 // over that string byte by byte cost more than capture, CA and the
 // kernel together (docs/PERF.md#request-ingest). The fast path cuts the
 // value out, strict-decodes the small remainder with a sentinel string
-// in the value's place, and base64-decodes the cut slice into a pooled
-// buffer. It runs only when cheap checks prove that the remainder
-// decodes exactly as the whole body would; every other body takes the
-// strict encoding/json decode, so both paths accept and reject the same
-// bodies (FuzzEnvelopeDecode holds them against each other).
+// in the value's place, and base64-decodes the cut slice in fixed
+// strides straight into the pooled scene, feeding the cache key's hash
+// on the same pass, so the scene's samples are never held as raw bytes.
+// It runs only when cheap checks prove that the remainder decodes
+// exactly as the whole body would; every other body takes the strict
+// encoding/json decode, so both paths accept and reject the same bodies
+// and images (FuzzEnvelopeDecode holds them against each other).
 package server
 
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"sync"
+
+	"lightator/internal/sensor"
 )
 
 // pixKey opens the one JSON string the fast path cuts out.
@@ -40,10 +47,8 @@ const (
 // scene body), so one outsized body does not stay pinned in a pool.
 const maxPooled = 16 << 20
 
-// bodyPool holds request-body buffers, rawPool decoded sample buffers.
-// They are separate so a 1.5 MB sample buffer is never handed to a 2 MB
-// body read and dropped as too small.
-var bodyPool, rawPool sync.Pool
+// bodyPool holds request-body buffers.
+var bodyPool sync.Pool
 
 // getBuf checks out a buffer of length n, reusing a pooled one with the
 // capacity.
@@ -76,20 +81,18 @@ func (f *SessionFrame) wireImages() [2]*ImageWire { return [2]*ImageWire{&f.Scen
 
 // ingest is one decoded body. After the fast path, at is the wire image
 // whose pix_b64 value was cut out: at.Pix is empty and cut is the
-// value's bytes, still inside the body buffer until pixels decodes it.
+// value's bytes, still inside the body buffer until scene decodes it.
 type ingest struct {
 	body *[]byte
 	at   *ImageWire
 	cut  []byte
-	raw  *[]byte
 }
 
-// release returns the ingest's pooled buffers; the slice pixels
-// returned is invalid afterwards.
+// release returns the body buffer to its pool, if scene has not
+// already.
 func (in *ingest) release() {
 	putBuf(&bodyPool, in.body)
-	putBuf(&rawPool, in.raw)
-	*in = ingest{}
+	in.body, in.cut = nil, nil
 }
 
 // readEnvelope reads r's body whole into a pooled buffer and decodes it
@@ -97,8 +100,7 @@ func (in *ingest) release() {
 // body: bytes after the first JSON value are ignored, as they always
 // were, but they count towards the cap. The body buffer stays checked
 // out only while the fast path's cut value lives in it, that is until
-// pixels decodes the cut; callers release the ingest once done with its
-// pixels.
+// scene decodes the cut; callers release the ingest once done with it.
 func readEnvelope[T any](r *http.Request, v *T) (ingest, error) {
 	body, err := readBody(r.Body, r.ContentLength)
 	if err != nil {
@@ -152,7 +154,7 @@ func readBody(r io.Reader, hint int64) (*[]byte, error) {
 
 // decodeEnvelope decodes one body held in data into v: the fast path
 // when it applies, the strict decode otherwise. The ingest refers into
-// data, which must outlive its pixels call.
+// data, which must outlive its scene call.
 func decodeEnvelope[T any](data []byte, v *T) (ingest, error) {
 	if in, ok := cutPixels(data, v); ok {
 		return in, nil
@@ -257,20 +259,103 @@ func foldedKeys(b []byte) int {
 	}
 }
 
-// pixels validates w and returns its raw little-endian sample bytes,
-// exactly as validateImageWire would. For the image the fast path cut
-// out, it decodes the cut value once, into a pooled buffer valid until
-// release, and returns the body buffer the cut lay in to its pool.
-func (in *ingest) pixels(w *ImageWire) ([]byte, error) {
+// scene validates w and returns its samples in a pooled image, exactly
+// as validateImageWire and imageFromRaw would: the same samples, or the
+// same error with no image. When h is non-nil it also writes the raw
+// little-endian sample bytes to h as one writePart part, so the cache
+// key needs no copy of them. For the image the fast path cut out, the
+// cut value is decoded in b64Stride strides straight into the image and
+// h, and the body buffer it lay in goes back to its pool.
+func (in *ingest) scene(w *ImageWire, h hash.Hash) (*sensor.Image, error) {
 	if w != in.at {
-		return validateImageWire(*w)
+		raw, err := validateImageWire(*w)
+		if err != nil {
+			return nil, err
+		}
+		if h != nil {
+			writePart(h, raw)
+		}
+		return imageFromRaw(*w, raw), nil
 	}
+	defer in.release()
 	if err := checkImageDims(*w); err != nil {
 		return nil, err
 	}
-	in.raw = getBuf(&rawPool, base64.StdEncoding.DecodedLen(len(in.cut)))
-	n, err := base64.StdEncoding.Decode(*in.raw, in.cut)
-	putBuf(&bodyPool, in.body)
-	in.body, in.cut = nil, nil
-	return checkImagePix(*w, (*in.raw)[:n], err)
+	want := 8 * w.H * w.W * w.C
+	if decodedLen(in.cut) != want {
+		// The value cannot decode to the claimed samples. Scan it, output
+		// discarded, for the error the whole-value decode would give;
+		// no image is taken, so a small body claiming huge dims
+		// allocates nothing by them.
+		n, err := decodeStrides(in.cut, nil)
+		return nil, checkImagePix(*w, n, err)
+	}
+	im := getScene(w.H, w.W, w.C)
+	if h != nil {
+		writeUint64(h, uint64(want))
+	}
+	pix := im.Pix
+	_, err := decodeStrides(in.cut, func(b []byte) {
+		if h != nil {
+			h.Write(b)
+		}
+		dst := pix[:len(b)/8]
+		for i := range dst {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		pix = pix[len(dst):]
+	})
+	if err != nil {
+		putScene(im)
+		return nil, checkImagePix(*w, 0, err)
+	}
+	return im, nil
+}
+
+// b64Stride is the span of a cut value decoded at once: 4096 base64
+// characters, 3072 bytes, 384 float64 samples.
+const b64Stride = 4096
+
+// decodedLen is the length the whole-value decode of v gives when it
+// succeeds; -1 when v's length alone rules success out.
+func decodedLen(v []byte) int {
+	if len(v)%4 != 0 {
+		return -1
+	}
+	n := len(v) / 4 * 3
+	for i := len(v) - 1; i >= len(v)-2 && i >= 0 && v[i] == '='; i-- {
+		n--
+	}
+	return n
+}
+
+// decodeStrides base64-decodes v stride by stride, handing each decoded
+// stride to emit (when non-nil), and returns what
+// base64.StdEncoding.Decode over all of v returns: the decoded length,
+// or the same CorruptInputError at the same offset into v. v holds no
+// '\r' or '\n' (the fast path admits only printable ASCII), so every
+// stride starts on a quantum of the whole value and decodes as that
+// span of the whole decode does, with two exceptions handled here:
+// offsets count from the stride, and a padded quantum may end a stride
+// cleanly while the whole value goes on after it.
+func decodeStrides(v []byte, emit func([]byte)) (int, error) {
+	var buf [b64Stride / 4 * 3]byte
+	n := 0
+	for off := 0; off < len(v); off += b64Stride {
+		end := min(off+b64Stride, len(v))
+		m, err := base64.StdEncoding.Decode(buf[:], v[off:end])
+		if err != nil {
+			return n, err.(base64.CorruptInputError) + base64.CorruptInputError(off)
+		}
+		if end < len(v) && v[end-1] == '=' {
+			// The whole decode reads the padding as the end of the data
+			// and the next stride as trailing garbage.
+			return n, base64.CorruptInputError(end)
+		}
+		if emit != nil {
+			emit(buf[:m])
+		}
+		n += m
+	}
+	return n, nil
 }

@@ -128,10 +128,14 @@ func fuzzProcessHandler() (http.Handler, error) {
 // response must be a well-formed status < 500 — malformed JSON, bad
 // dimensions, undecodable pixels, and unknown kernels are all client
 // errors — and a 200 must carry a decodable ProcessResponse plane.
+//
+// The seeds hold no scene above 2x2, which the 16x16 sensor refuses, so
+// the mutator is not slowed by large inputs; TestProcessRequestBodies
+// runs the same check on full 16x16 bodies that answer 200.
 func FuzzProcessRequest(f *testing.F) {
-	scene := server.EncodeImage(testScene(3, 16, 16))
+	small := server.EncodeImage(testScene(3, 2, 2))
 	for _, kernel := range []string{"reconstruct", "reconstruct-direct", "reconstruct-cg", "edge"} {
-		body, err := json.Marshal(server.NewProcessRequest(scene, kernel, nil))
+		body, err := json.Marshal(server.NewProcessRequest(small, kernel, nil))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -142,33 +146,54 @@ func FuzzProcessRequest(f *testing.F) {
 	f.Add([]byte(`{"scene":{"h":-4,"w":70000,"c":3,"pix_b64":""},"kernel":"reconstruct"}`))
 	f.Add([]byte(`{"kernel":"no-such-kernel"}`))
 	f.Add([]byte(`{"unknown_field":1}`))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		h, err := fuzzProcessHandler()
+	f.Fuzz(func(t *testing.T, body []byte) { checkProcessBody(t, body) })
+}
+
+// TestProcessRequestBodies runs FuzzProcessRequest's check on one full
+// 16x16 body per kernel; each must answer 200.
+func TestProcessRequestBodies(t *testing.T) {
+	scene := server.EncodeImage(testScene(3, 16, 16))
+	for _, kernel := range []string{"reconstruct", "reconstruct-direct", "reconstruct-cg", "edge"} {
+		body, err := json.Marshal(server.NewProcessRequest(scene, kernel, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
-		req := httptest.NewRequest(http.MethodPost, "/v1/process", strings.NewReader(string(body)))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code >= 500 {
-			t.Fatalf("server error %d for body %q: %s", rec.Code, body, rec.Body.String())
+		if code := checkProcessBody(t, body); code != http.StatusOK {
+			t.Errorf("%s: status %d", kernel, code)
 		}
-		if rec.Code == http.StatusOK {
-			var resp server.ProcessResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				t.Fatalf("200 with undecodable body: %v", err)
-			}
-			if _, err := server.DecodeImage(resp.Plane); err != nil {
-				t.Fatalf("200 with undecodable plane: %v", err)
-			}
-		} else {
-			// Every non-200 must carry the structured error shape: a
-			// non-empty stable code, a message, and the legacy "error"
-			// string old clients decode.
-			checkErrorShape(t, rec.Code, rec.Body.Bytes())
+	}
+}
+
+// checkProcessBody posts body to /v1/process and fails unless the
+// answer is well formed; it returns the status.
+func checkProcessBody(t *testing.T, body []byte) int {
+	t.Helper()
+	h, err := fuzzProcessHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/v1/process", strings.NewReader(string(body)))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	if rec.Code >= 500 {
+		t.Fatalf("server error %d for body %q: %s", rec.Code, body, rec.Body.String())
+	}
+	if rec.Code == http.StatusOK {
+		var resp server.ProcessResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("200 with undecodable body: %v", err)
 		}
-	})
+		if _, err := server.DecodeImage(resp.Plane); err != nil {
+			t.Fatalf("200 with undecodable plane: %v", err)
+		}
+	} else {
+		// Every non-200 must carry the structured error shape: a
+		// non-empty stable code, a message, and the legacy "error"
+		// string old clients decode.
+		checkErrorShape(t, rec.Code, rec.Body.Bytes())
+	}
+	return rec.Code
 }
 
 // duplexRecorder runs the frame-stream handler against a recorder: the
@@ -192,16 +217,38 @@ func serveRecorded(h http.Handler, method, target string, body io.Reader) *httpt
 // ErrorResponse body; once results flow, every line is a result, an
 // ErrorResponse record, or the closing summary, and the stream ends
 // with the summary or an index -1 error record.
+//
+// The seed lines hold 2x2 scenes, which the 16x16 sensor refuses frame
+// by frame, so the mutator is not slowed by large inputs;
+// TestSessionFrameStreams runs the same check on streams of full 16x16
+// frames.
 func FuzzSessionFrames(f *testing.F) {
-	line := func(h, w int) string {
-		b, err := json.Marshal(server.SessionFrame{Scene: server.EncodeImage(testScene(5, h, w))})
-		if err != nil {
-			f.Fatal(err)
-		}
-		return string(b)
+	for _, body := range sessionStreams(f, sessionLine(f, 2, 2)) {
+		f.Add([]byte(body))
 	}
-	valid := line(16, 16)
-	for _, body := range []string{
+	f.Fuzz(checkSessionStream)
+}
+
+// TestSessionFrameStreams runs FuzzSessionFrames's check on its stream
+// shapes built from full 16x16 frames.
+func TestSessionFrameStreams(t *testing.T) {
+	for _, body := range sessionStreams(t, sessionLine(t, 16, 16)) {
+		checkSessionStream(t, []byte(body))
+	}
+}
+
+// sessionLine marshals one frame line around an h×w scene.
+func sessionLine(tb testing.TB, h, w int) string {
+	b, err := json.Marshal(server.SessionFrame{Scene: server.EncodeImage(testScene(5, h, w))})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return string(b)
+}
+
+// sessionStreams are frame-stream shapes around the line valid.
+func sessionStreams(tb testing.TB, valid string) []string {
+	return []string{
 		"",
 		valid + "\n",
 		valid + "\n" + valid + "\n",
@@ -211,51 +258,53 @@ func FuzzSessionFrames(f *testing.F) {
 		"\n\n" + valid + "\n\n",           // blank lines
 		"{\"scene\":17}\n" + valid + "\n", // malformed, then valid
 		valid + "\r\n" + valid + "\r\n",   // CRLF endings
-		valid + "\n" + line(8, 8) + "\n",  // a scene the sensor rejects
+		valid + "\n" + sessionLine(tb, 8, 8) + "\n",
 		valid + "\n{\"scene\":{\"h\":1,\"w\":1,\"c\":1,\"pix_b64\":\"zzz\"}}\n",
-	} {
-		f.Add([]byte(body))
 	}
-	f.Fuzz(func(t *testing.T, body []byte) {
-		h, err := fuzzProcessHandler()
-		if err != nil {
-			t.Fatal(err)
-		}
-		open := serveRecorded(h, http.MethodPost, "/v1/session", strings.NewReader(`{"kind":"process","kernel":"edge","seed":7}`))
-		var sr server.SessionResponse
-		if open.Code != http.StatusOK || json.Unmarshal(open.Body.Bytes(), &sr) != nil {
-			t.Fatalf("open session: %d %s", open.Code, open.Body.String())
-		}
-		defer serveRecorded(h, http.MethodDelete, "/v1/session/"+sr.ID, nil)
+}
 
-		rec := serveRecorded(h, http.MethodPost, "/v1/session/"+sr.ID+"/frames", bytes.NewReader(body))
-		if rec.Code >= 500 {
-			t.Fatalf("server error %d for stream %q: %s", rec.Code, body, rec.Body.String())
+// checkSessionStream streams body into a fresh process session and
+// fails unless the answer is well formed.
+func checkSessionStream(t *testing.T, body []byte) {
+	t.Helper()
+	h, err := fuzzProcessHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	open := serveRecorded(h, http.MethodPost, "/v1/session", strings.NewReader(`{"kind":"process","kernel":"edge","seed":7}`))
+	var sr server.SessionResponse
+	if open.Code != http.StatusOK || json.Unmarshal(open.Body.Bytes(), &sr) != nil {
+		t.Fatalf("open session: %d %s", open.Code, open.Body.String())
+	}
+	defer serveRecorded(h, http.MethodDelete, "/v1/session/"+sr.ID, nil)
+
+	rec := serveRecorded(h, http.MethodPost, "/v1/session/"+sr.ID+"/frames", bytes.NewReader(body))
+	if rec.Code >= 500 {
+		t.Fatalf("server error %d for stream %q: %s", rec.Code, body, rec.Body.String())
+	}
+	if rec.Code != http.StatusOK {
+		checkErrorShape(t, rec.Code, rec.Body.Bytes())
+		return
+	}
+	lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
+	for i, ln := range lines {
+		var record struct {
+			server.SessionResult
+			server.SessionSummary
 		}
-		if rec.Code != http.StatusOK {
-			checkErrorShape(t, rec.Code, rec.Body.Bytes())
-			return
+		if err := json.Unmarshal([]byte(ln), &record); err != nil {
+			t.Fatalf("stream line %q does not decode: %v", ln, err)
 		}
-		lines := strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n")
-		for i, ln := range lines {
-			var record struct {
-				server.SessionResult
-				server.SessionSummary
-			}
-			if err := json.Unmarshal([]byte(ln), &record); err != nil {
-				t.Fatalf("stream line %q does not decode: %v", ln, err)
-			}
-			if record.Error != nil && (record.Error.Code == "" || record.Error.Message == "" || record.Error.Error == "") {
-				t.Fatalf("incomplete in-stream error %+v", record.Error)
-			}
-			if last := i == len(lines)-1; last != (record.Done || record.Index == -1) {
-				t.Fatalf("line %d of %d is %q: the stream must end, and only end, with a summary or an index -1 error", i, len(lines), ln)
-			}
-			if record.Index == -1 && record.Error == nil {
-				t.Fatalf("index -1 record without an error: %q", ln)
-			}
+		if record.Error != nil && (record.Error.Code == "" || record.Error.Message == "" || record.Error.Error == "") {
+			t.Fatalf("incomplete in-stream error %+v", record.Error)
 		}
-	})
+		if last := i == len(lines)-1; last != (record.Done || record.Index == -1) {
+			t.Fatalf("line %d of %d is %q: the stream must end, and only end, with a summary or an index -1 error", i, len(lines), ln)
+		}
+		if record.Index == -1 && record.Error == nil {
+			t.Fatalf("index -1 record without an error: %q", ln)
+		}
+	}
 }
 
 // checkErrorShape fails unless body is a complete ErrorResponse.

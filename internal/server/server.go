@@ -166,7 +166,7 @@ type Config struct {
 	// server sheds cache-miss bulk compute, at ShedNonSession all
 	// non-session compute (cache hits included), at ShedAll everything
 	// (session opens and streams too). Defaults 0.75 / 0.90 / 0.98;
-	// negative disables that tier.
+	// negative disables that tier; New rejects NaN and values above 1.
 	ShedCacheMiss  float64
 	ShedNonSession float64
 	ShedAll        float64
@@ -259,6 +259,16 @@ func New(b Backend, cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: backend needs a simulate function")
 	}
 	cfg = cfg.withDefaults()
+	for _, t := range []struct {
+		name string
+		v    float64
+	}{{"ShedCacheMiss", cfg.ShedCacheMiss}, {"ShedNonSession", cfg.ShedNonSession}, {"ShedAll", cfg.ShedAll}} {
+		// Above 1 (occupancy never gets there) or NaN (compares false),
+		// a tier would be silently off.
+		if !(t.v <= 1) {
+			return nil, fmt.Errorf("server: %s = %v, want a queue occupancy in (0,1], or negative to disable the tier", t.name, t.v)
+		}
+	}
 	// Zero-value energy params mean "unconfigured" (a real model always
 	// has a clock): default them so directly-assembled backends keep
 	// working and always price requests with the calibrated model.
@@ -661,8 +671,12 @@ func (s *Server) effectiveSeed(req *int64) int64 {
 // micro-batcher submission, and the wait for this frame's result. The
 // request context bounds the wait, so a departed client releases its
 // handler even though the frame itself still completes in the batch.
+// submitFrame owns the scene: it returns it to the pool once nothing can
+// read it, and leaves it to the garbage collector when the wait ends
+// before the frame's batch has run.
 func (s *Server) submitFrame(r *http.Request, b *batcher, seed int64, scene *sensor.Image) (pipeline.Result, int, error) {
 	if s.draining.Load() {
+		putScene(scene)
 		return pipeline.Result{}, http.StatusServiceUnavailable, errDraining
 	}
 	// Tier-1 shed: reaching here means the cache did not answer, so this
@@ -670,10 +684,12 @@ func (s *Server) submitFrame(r *http.Request, b *batcher, seed int64, scene *sen
 	// (Tier-2/3 loads were already rejected at admission.)
 	if s.shedLevel() >= shedTierCacheMiss {
 		s.m.shed("cache_miss")
+		putScene(scene)
 		return pipeline.Result{}, http.StatusTooManyRequests, errShedCacheMiss
 	}
 	it := batchItem{seed: seed, scene: scene, done: make(chan pipeline.Result, 1)}
 	if err := b.submit(it); err != nil {
+		putScene(scene)
 		status := http.StatusTooManyRequests
 		if errors.Is(err, errDraining) {
 			status = http.StatusServiceUnavailable
@@ -682,6 +698,8 @@ func (s *Server) submitFrame(r *http.Request, b *batcher, seed int64, scene *sen
 	}
 	select {
 	case res := <-it.done:
+		// A result arrives only once its whole batch has run.
+		putScene(scene)
 		if res.Err != nil {
 			// Frame-level errors are bad inputs (e.g. scene/sensor size
 			// mismatch), surfaced per-frame by the pipeline.

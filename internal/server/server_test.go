@@ -7,9 +7,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -616,5 +618,44 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 	if _, err := server.DecodeFrame(server.FrameWire{Rows: 4, Cols: 4, Codes: "AAAA"}); err == nil {
 		t.Error("short frame payload accepted")
+	}
+}
+
+// TestShedThresholdsValidated: a shed threshold is a queue occupancy in
+// (0,1], zero for its default or negative to switch its tier off. NaN
+// and values above 1 would switch the tier off silently (occupancy never
+// exceeds 1, and NaN compares false), so construction refuses them.
+func TestShedThresholdsValidated(t *testing.T) {
+	acc := testAccelerator(t, lightator.Physical)
+	for _, tc := range []struct {
+		name    string
+		opts    lightator.ServeOptions
+		wantErr string
+	}{
+		{"defaults", lightator.ServeOptions{}, ""},
+		{"all at 1", lightator.ServeOptions{ShedCacheMiss: 1, ShedNonSession: 1, ShedAll: 1}, ""},
+		{"small", lightator.ServeOptions{ShedCacheMiss: 0.01}, ""},
+		{"disabled", lightator.ServeOptions{ShedCacheMiss: -1, ShedNonSession: -0.5, ShedAll: math.Inf(-1)}, ""},
+		{"cache miss above 1", lightator.ServeOptions{ShedCacheMiss: 1.5}, "ShedCacheMiss = 1.5"},
+		{"non-session NaN", lightator.ServeOptions{ShedNonSession: math.NaN()}, "ShedNonSession = NaN"},
+		{"all +Inf", lightator.ServeOptions{ShedAll: math.Inf(1)}, "ShedAll = +Inf"},
+		{"all just above 1", lightator.ServeOptions{ShedAll: 1.0000001}, "ShedAll = 1.0000001"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.opts.Workers, tc.opts.AgreementFrames = 1, -1
+			srv, err := acc.NewServer(tc.opts)
+			if tc.wantErr == "" {
+				if err != nil {
+					t.Fatalf("NewServer: %v", err)
+				}
+				if err := srv.Drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), "(0,1]") {
+				t.Fatalf("NewServer error %v, want one naming %q and the range (0,1]", err, tc.wantErr)
+			}
+		})
 	}
 }

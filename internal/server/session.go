@@ -176,7 +176,7 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 			if len(line) == 0 {
 				continue
 			}
-			// The line stays in the scanner's buffer: its pixels are
+			// The line stays in the scanner's buffer: its scene is
 			// decoded before the next Scan reuses it.
 			var f SessionFrame
 			frame, err := decodeEnvelope(line, &f)
@@ -185,15 +185,12 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 				cancel()
 				return
 			}
-			raw, err := frame.pixels(&f.Scene)
+			img, err := frame.scene(&f.Scene, nil)
 			if err != nil {
-				frame.release()
 				readErr <- wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid frame scene", err)
 				cancel()
 				return
 			}
-			img := imageFromRaw(f.Scene, raw)
-			frame.release()
 			select {
 			case in <- img:
 			case <-ctx.Done():

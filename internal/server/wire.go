@@ -68,15 +68,18 @@ const maxWireDim = 1 << 16
 
 // validateImageWire checks dims and decodes the base64 payload, returning
 // the raw little-endian sample bytes (identical to floatBytes of the
-// decoded image). The handlers hash these directly for cache keys, so a
-// cache hit never pays the float64 materialisation — imageFromRaw runs
-// only on a miss.
+// decoded image). It is the strict path: the decode of every image the
+// envelope decoder's fast path did not cut out, and the oracle that
+// path is tested against (envelope_test.go).
 func validateImageWire(w ImageWire) ([]byte, error) {
 	if err := checkImageDims(w); err != nil {
 		return nil, err
 	}
 	raw, err := base64.StdEncoding.DecodeString(w.Pix)
-	return checkImagePix(w, raw, err)
+	if err := checkImagePix(w, len(raw), err); err != nil {
+		return nil, err
+	}
+	return raw, nil
 }
 
 // checkImageDims is validateImageWire's dimension check.
@@ -87,17 +90,17 @@ func checkImageDims(w ImageWire) error {
 	return nil
 }
 
-// checkImagePix checks the base64 decode of w's payload: raw and err as
-// the decode returned them.
-func checkImagePix(w ImageWire, raw []byte, err error) ([]byte, error) {
+// checkImagePix checks the base64 decode of w's payload: the decoded
+// length and the error as the decode returned them.
+func checkImagePix(w ImageWire, decoded int, err error) error {
 	if err != nil {
-		return nil, fmt.Errorf("server: image pixel data: %w", err)
+		return fmt.Errorf("server: image pixel data: %w", err)
 	}
 	n := w.H * w.W * w.C
-	if len(raw) != 8*n {
-		return nil, fmt.Errorf("server: image pixel data is %d bytes, want %d (%d float64 samples)", len(raw), 8*n, n)
+	if decoded != 8*n {
+		return fmt.Errorf("server: image pixel data is %d bytes, want %d (%d float64 samples)", decoded, 8*n, n)
 	}
-	return raw, nil
+	return nil
 }
 
 // scenePool holds materialised request images for reuse. A 256x256 RGB
@@ -105,23 +108,28 @@ func checkImagePix(w ImageWire, raw []byte, err error) ([]byte, error) {
 // makes; handleFrame returns a scene once nothing can still read it.
 var scenePool sync.Pool
 
+// getScene checks out an h×w×c image, reusing a pooled one with the
+// capacity. Its samples are stale: the caller overwrites every one.
+func getScene(h, w, c int) *sensor.Image {
+	n := h * w * c
+	if im, ok := scenePool.Get().(*sensor.Image); ok && cap(im.Pix) >= n {
+		im.H, im.W, im.C, im.Pix = h, w, c, im.Pix[:n]
+		return im
+	}
+	return sensor.NewImage(h, w, c)
+}
+
 // imageFromRaw materialises the image from validated raw sample bytes
 // into a pooled image; every sample is overwritten.
 func imageFromRaw(w ImageWire, raw []byte) *sensor.Image {
-	n := w.H * w.W * w.C
-	im, ok := scenePool.Get().(*sensor.Image)
-	if ok && cap(im.Pix) >= n {
-		im.H, im.W, im.C, im.Pix = w.H, w.W, w.C, im.Pix[:n]
-	} else {
-		im = sensor.NewImage(w.H, w.W, w.C)
-	}
+	im := getScene(w.H, w.W, w.C)
 	for i := range im.Pix {
 		im.Pix[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 	}
 	return im
 }
 
-// putScene returns a scene from imageFromRaw to its pool. The caller
+// putScene returns a scene from getScene to its pool. The caller
 // must hold the only reference left: no batch, stage or response may
 // still read it. Oversized images are dropped.
 func putScene(im *sensor.Image) {

@@ -173,7 +173,8 @@ type ServeOptions struct {
 	// shedder's queue-occupancy thresholds in (0,1]: uncached bulk
 	// compute sheds first, then all non-session compute, then everything
 	// including session streams (defaults 0.75 / 0.90 / 0.98; negative
-	// disables a tier). See docs/FAULTS.md#load-shedding.
+	// disables a tier; NaN or a value above 1 is an error). See
+	// docs/FAULTS.md#load-shedding.
 	ShedCacheMiss  float64
 	ShedNonSession float64
 	ShedAll        float64
