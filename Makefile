@@ -28,8 +28,8 @@ test-race:
 alloc:
 	$(GO) test -count=1 -run 'AllocFree|ZeroAlloc' ./...
 
-# Coverage-guided fuzz smoke over the wire codecs, the /v1/process
-# handler, the envelope decoder (fast path against strict JSON) and the
+# Coverage-guided fuzz smoke over the wire codecs, the /v1/process,
+# /v1/infer and /v1/matvec handlers, the envelope decoder (fast path against strict JSON) and the
 # session NDJSON stream (seed corpora in internal/server/testdata/fuzz). Each
 # target needs its own invocation: -fuzz accepts exactly one match.
 FUZZTIME ?= 10s
@@ -37,6 +37,8 @@ fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeImage$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzProcessRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzInferRequest$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzMatVecRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEnvelopeDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSessionFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)

@@ -59,11 +59,6 @@ type Options struct {
 	Workers int
 }
 
-// DefaultOptions returns the Quick profile.
-func DefaultOptions() Options {
-	return Options{Profile: Quick, Seed: 7, Workers: 8}
-}
-
 // Task identifies one of the three synthetic stand-in datasets.
 type Task int
 

@@ -1,12 +1,12 @@
 //go:build !race
 
-// Steady-state allocation pins for the iterative solver loops, in the
+// Steady-state allocation pin for the iterative solver loop, in the
 // spirit of internal/oc/alloc_test.go: once the scratch arena and the
 // Applier pools are warm, solving one compressed sample allocates
-// nothing, in Ideal and PhysicalNoisy fidelity. (The direct kernels'
-// per-window path is LinOp.Apply over Applier.ApplySeededInto, whose
-// zero-alloc contract is pinned in internal/oc.) The race detector
-// instruments allocations, so these run only in the plain test pass.
+// nothing, in Ideal and PhysicalNoisy fidelity. (The single-pass
+// kernels' per-window path is LinOp.Apply over Applier.ApplySeededInto,
+// whose zero-alloc contract is pinned in internal/oc.) The race detector
+// instruments allocations, so this runs only in the plain test pass.
 package kernels
 
 import (
@@ -48,41 +48,6 @@ func TestCGSolveAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: CGNR solve allocates %.2f/sample, want 0", fid, allocs)
-		}
-	}
-}
-
-// TestIterateAllocFree pins the same contract for the Landweber loop.
-func TestIterateAllocFree(t *testing.T) {
-	for _, fid := range []oc.Fidelity{oc.Ideal, oc.PhysicalNoisy} {
-		o, err := NewReconstructIter(solverAllocCore(t, fid), 4, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := o.(*IterOp)
-		fwd, adj := k.fwd.NewApplier(), k.adj.NewApplier()
-		defer fwd.Release()
-		defer adj.Release()
-		apply := func(pm *oc.ProgrammedMatrix, dst, in []float64, seed int64) error {
-			if pm == k.fwd {
-				return fwd.ApplySeededInto(dst, in, seed)
-			}
-			return adj.ApplySeededInto(dst, in, seed)
-		}
-		sc := k.getScratch()
-		defer sc.release()
-		if err := k.iterate(0.7, sc, 1, apply); err != nil { // warm the pools
-			t.Fatal(err)
-		}
-		i := 0
-		allocs := testing.AllocsPerRun(100, func() {
-			i++
-			if err := k.iterate(0.7, sc, oc.DeriveSeed(1, i), apply); err != nil {
-				panic(err)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("%v: Landweber iterate allocates %.2f/sample, want 0", fid, allocs)
 		}
 	}
 }

@@ -1,19 +1,19 @@
 // Accelerated iterative reconstruction: conjugate gradient on the normal
 // equations (CGNR), using only optical forward/adjoint passes.
 //
-// Landweber (reconstruct-iter) is gradient descent on ‖Φx − y‖² with a
-// fixed step and a fixed iteration count: 2·iters optical passes per
-// sample no matter how fast the residual dies. CGNR chooses the step α
-// from the measured quantities themselves (α = ‖Φᵀr‖²/‖Φp‖²) and keeps
-// conjugate search directions, so the rank-1 per-window CA system
-// converges in ONE exact iteration — and a convergence-based stopping
-// rule replaces the fixed count: the loop exits as soon as the
+// Gradient descent on ‖Φx − y‖² (Landweber) takes a fixed step and a
+// fixed iteration count: 2·iters optical passes per sample no matter how
+// fast the residual dies. CGNR chooses the step α from the measured
+// quantities themselves (α = ‖Φᵀr‖²/‖Φp‖²) and keeps conjugate search
+// directions, so the rank-1 per-window CA system converges in ONE exact
+// iteration — and a convergence-based stopping rule replaces the fixed
+// count: the loop exits as soon as the
 // measurement residual |r| falls under tol·|y|, or strictly stops making
 // progress (which also makes the committed residual trace monotone by
 // construction: a non-improving iterate is never committed).
 //
-// Physical constraints are preserved the same way IterOp's are — every
-// streamed activation stays in [0, 1]:
+// Physical constraints are preserved — every streamed activation stays
+// in [0, 1]:
 //
 //   - The search direction p may go negative and exceed 1 once
 //     quantization perturbs the residual, so the forward pass Φp is
@@ -50,22 +50,9 @@ type SolverStats interface {
 	PassTotals() (passes, samples uint64)
 }
 
-// solverCounters is the shared SolverStats implementation: lock-free
-// accumulation from concurrent Apply shards.
-type solverCounters struct {
-	passes  atomic.Uint64
-	samples atomic.Uint64
-}
-
-func (c *solverCounters) add(passes, samples uint64) {
-	c.passes.Add(passes)
-	c.samples.Add(samples)
-}
-
-// PassTotals implements SolverStats.
-func (c *solverCounters) PassTotals() (passes, samples uint64) {
-	return c.passes.Load(), c.samples.Load()
-}
+// passFn executes one programmed-matrix pass into dst: optical on the
+// Apply path, exact on the Reference path.
+type passFn func(pm *oc.ProgrammedMatrix, dst, in []float64, seed int64) error
 
 // DefaultCGMaxIters caps the CGNR loop. The rank-1 CA system converges
 // in one exact iteration; the cap only bounds the quantized path, which
@@ -91,12 +78,14 @@ type CGOp struct {
 	wmax     float64
 	fwd      *oc.ProgrammedMatrix // 1 x n²: the CA row w
 	adj      *oc.ProgrammedMatrix // n² x 1: the CA column wᵀ
-	stats    solverCounters
+	// passes and samples accumulate lock-free from concurrent Apply
+	// shards (SolverStats).
+	passes, samples atomic.Uint64
 }
 
 // NewReconstructCG builds the CGNR reconstruction kernel. maxIters <= 0
 // takes DefaultCGMaxIters; tol <= 0 takes DefaultCGTol. The programmed
-// matrices carry w/wmax (full-scale normalisation, like IterOp) with the
+// matrices carry w/wmax (full-scale normalisation, like LinOp) with the
 // factor restored digitally.
 func NewReconstructCG(core *oc.Core, poolN, maxIters int, tol float64) (*CGOp, error) {
 	if maxIters <= 0 {
@@ -123,7 +112,8 @@ func NewReconstructCG(core *oc.Core, poolN, maxIters int, tol float64) (*CGOp, e
 	if err != nil {
 		return nil, err
 	}
-	// Separate health components per pass, mirroring reconstruct-iter.
+	// Separate health components per pass, so a fault plan (and the
+	// recovery ladder) can address each pass independently.
 	fwd.SetLabel("kernel:reconstruct-cg/fwd")
 	adj.SetLabel("kernel:reconstruct-cg/adj")
 	return &CGOp{
@@ -139,7 +129,7 @@ func NewReconstructCG(core *oc.Core, poolN, maxIters int, tol float64) (*CGOp, e
 // all Apply calls, which is how the adaptive stopping rule is observed
 // (the static Ops accounting is a worst-case bound).
 func (o *CGOp) PassTotals() (passes, samples uint64) {
-	return o.stats.PassTotals()
+	return o.passes.Load(), o.samples.Load()
 }
 
 // Name implements Kernel.
@@ -367,7 +357,7 @@ func (o *CGOp) solve(y float64, sc cgScratch, seed int64, apply passFn, resTrace
 }
 
 // run shards the plane's samples across workers, each sample seeded with
-// DeriveSeed(seed, j) — the same per-window scheme as LinOp and IterOp.
+// DeriveSeed(seed, j) — the same per-window scheme as LinOp.
 // countPasses is true only on the optical path: Reference runs no
 // optical passes and must not perturb the SolverStats totals.
 func (o *CGOp) run(plane *sensor.Image, seed int64, workers int, countPasses bool, newApply func() (passFn, func())) (*sensor.Image, error) {
@@ -399,7 +389,8 @@ func (o *CGOp) run(plane *sensor.Image, seed int64, workers int, countPasses boo
 			}
 		}
 		if countPasses {
-			o.stats.add(shardPasses, uint64(hi-lo))
+			o.passes.Add(shardPasses)
+			o.samples.Add(uint64(hi - lo))
 		}
 		return nil
 	})

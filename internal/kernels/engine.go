@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"lightator/internal/oc"
-	"lightator/internal/sensor"
 )
 
 // Engine is a registry of compressed-domain kernels programmed onto one
@@ -13,37 +12,56 @@ import (
 // built-in operator's MR banks once; after that the engine is immutable
 // and safe for concurrent use (Register is construction-time only).
 type Engine struct {
-	core    *oc.Core
-	poolN   int
 	kernels map[string]Kernel
+}
+
+// aliases maps each accepted alias to the registered operator it
+// resolves to. Names stay on the wire once served, so the retired
+// solvers of the CA least-squares system — the factorized Gram solve and
+// Landweber iteration — answer as the closed form they computed.
+var aliases = map[string]string{
+	"reconstruct-direct": "reconstruct",
+	"reconstruct-iter":   "reconstruct",
+}
+
+// Canonical returns the operator name that name resolves to: an alias's
+// target, or name itself.
+func Canonical(name string) string {
+	if target, ok := aliases[name]; ok {
+		return target
+	}
+	return name
+}
+
+// Aliases lists the accepted alias names, sorted.
+func Aliases() []string {
+	names := make([]string, 0, len(aliases))
+	for name := range aliases {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // NewEngine builds the registry over the core for a CA pooling factor of
 // poolN (even, >= 2 — the compressed plane's provenance). Built-ins:
 //
-//	reconstruct         closed-form least-squares expansion to the full plane
-//	reconstruct-direct  exact least-squares via the factorized CA Gram system
-//	reconstruct-iter    Landweber iterative reconstruction (optical fwd/adjoint)
-//	reconstruct-cg      CGNR iterative reconstruction with convergence stopping
-//	edge                3x3 Laplacian edge detector (signed output)
-//	downsample2x        2x2 average pooling, stride 2 (compounds the CA ratio)
-//	denoise             3x3 Gaussian blur
-//	sharpen             3x3 unsharp mask, built through the generic BlockConv path
+//	reconstruct     closed-form least-squares expansion to the full plane
+//	reconstruct-cg  CGNR iterative reconstruction with convergence stopping
+//	edge            3x3 Laplacian edge detector (signed output)
+//	downsample2x    2x2 average pooling, stride 2 (compounds the CA ratio)
+//	denoise         3x3 Gaussian blur
+//	sharpen         3x3 unsharp mask, built through the generic BlockConv path
+//
+// plus the aliases reconstruct-direct and reconstruct-iter, which
+// resolve to reconstruct.
 func NewEngine(core *oc.Core, poolN int) (*Engine, error) {
 	if core == nil {
 		return nil, fmt.Errorf("kernels: engine needs an optical core")
 	}
-	e := &Engine{core: core, poolN: poolN, kernels: make(map[string]Kernel)}
+	e := &Engine{kernels: make(map[string]Kernel)}
 
 	rec, err := NewReconstruct(core, poolN)
-	if err != nil {
-		return nil, err
-	}
-	direct, err := NewReconstructDirect(core, poolN)
-	if err != nil {
-		return nil, err
-	}
-	it, err := NewReconstructIter(core, poolN, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +93,7 @@ func NewEngine(core *oc.Core, poolN int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range []Kernel{rec, direct, it, cg, edge, down, den, sharp} {
+	for _, k := range []Kernel{rec, cg, edge, down, den, sharp} {
 		if err := e.Register(k); err != nil {
 			return nil, err
 		}
@@ -103,11 +121,15 @@ func NewBlockConv(core *oc.Core, name, desc string, kern [][]float64, stride, pa
 	return NewLinOp(core, name, desc, [][]float64{flat}, side, stride, pad, 1, 1)
 }
 
-// Register adds a kernel under its name; names are unique.
+// Register adds a kernel under its name; names are unique and may not
+// shadow an alias.
 func (e *Engine) Register(k Kernel) error {
 	name := k.Name()
 	if name == "" {
 		return fmt.Errorf("kernels: cannot register a kernel with an empty name")
+	}
+	if target, ok := aliases[name]; ok {
+		return fmt.Errorf("kernels: %q is an alias of %q", name, target)
 	}
 	if _, ok := e.kernels[name]; ok {
 		return fmt.Errorf("kernels: kernel %q already registered", name)
@@ -116,16 +138,16 @@ func (e *Engine) Register(k Kernel) error {
 	return nil
 }
 
-// Kernel resolves a registered kernel by name.
+// Kernel resolves a registered kernel by name or alias.
 func (e *Engine) Kernel(name string) (Kernel, error) {
-	k, ok := e.kernels[name]
+	k, ok := e.kernels[Canonical(name)]
 	if !ok {
 		return nil, fmt.Errorf("kernels: unknown kernel %q (known: %v)", name, e.Names())
 	}
 	return k, nil
 }
 
-// Names lists the registered kernels, sorted.
+// Names lists the registered kernels, sorted; aliases are not listed.
 func (e *Engine) Names() []string {
 	names := make([]string, 0, len(e.kernels))
 	for name := range e.kernels {
@@ -135,14 +157,15 @@ func (e *Engine) Names() []string {
 	return names
 }
 
-// PoolN reports the CA pooling factor the engine was built for.
-func (e *Engine) PoolN() int { return e.poolN }
-
-// Process is the one-call convenience: resolve the kernel and apply it.
-func (e *Engine) Process(name string, plane *sensor.Image, seed int64, workers int) (*sensor.Image, error) {
+// Description returns a kernel's one-line summary; an alias's names the
+// operator it resolves to.
+func (e *Engine) Description(name string) (string, error) {
 	k, err := e.Kernel(name)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
-	return k.Apply(plane, seed, workers)
+	if target, ok := aliases[name]; ok {
+		return fmt.Sprintf("alias of %s: %s", target, k.Description()), nil
+	}
+	return k.Description(), nil
 }

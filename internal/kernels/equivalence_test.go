@@ -9,9 +9,10 @@ import (
 	"lightator/internal/sensor"
 )
 
-// reconSolvers is the cross-solver equivalence set: four kernels that
-// must all compute the same least-squares reconstruction x̂ = wy/‖w‖².
-var reconSolvers = []string{"reconstruct", "reconstruct-direct", "reconstruct-iter", "reconstruct-cg"}
+// reconSolvers is the cross-solver equivalence set: names that must all
+// compute the same least-squares reconstruction x̂ = wy/‖w‖² (the alias
+// reconstruct-direct resolves to reconstruct).
+var reconSolvers = []string{"reconstruct", "reconstruct-direct", "reconstruct-cg"}
 
 // recompressCA applies the CA sensing matrix Φ to a reconstructed plane:
 // one weight row w per disjoint pool x pool block. Used to check the
@@ -38,9 +39,9 @@ func recompressCA(t *testing.T, x *sensor.Image, pool int) *sensor.Image {
 	return out
 }
 
-// TestCrossSolverEquivalence is the tentpole property suite: all four
-// reconstruction solvers — closed-form, factorized direct, Landweber,
-// and CGNR — compute the same least-squares solution. On randomized
+// TestCrossSolverEquivalence is the tentpole property suite: the
+// reconstruction solvers — closed-form and CGNR — compute the same
+// least-squares solution. On randomized
 // planes with real CA provenance, across CAPool ∈ {4, 8, 16}, all three
 // fidelities and multiple worker counts:
 //
@@ -54,9 +55,9 @@ func recompressCA(t *testing.T, x *sensor.Image, pool int) *sensor.Image {
 func TestCrossSolverEquivalence(t *testing.T) {
 	// Bounds sit 1.5–2x above the measured worst-case optical-vs-exact
 	// error at 8/8 bits (quantization only in Ideal; analog transfer and
-	// seeded noise stack on top in the physical fidelities — the noisy
-	// worst case is reconstruct-iter, whose 24 noisy passes accumulate to
-	// ~0.13).
+	// seeded noise stack on top in the physical fidelities; the noisy
+	// bound was set for a 24-pass Landweber loop, whose passes accumulated
+	// to ~0.13).
 	fidTol := []struct {
 		fid oc.Fidelity
 		tol float64

@@ -74,7 +74,8 @@ func checkGolden(t *testing.T, path string, got any) {
 // TestGoldenKernels pins every built-in kernel's Apply output bit-for-bit
 // in every fidelity, for two worker counts (the contract makes the worker
 // count unobservable, and the goldens prove the optimized walk preserved
-// that).
+// that). The reconstruct-direct entries were recorded from the Gram-solve
+// kernel that name used to run; the alias must still reproduce them.
 func TestGoldenKernels(t *testing.T) {
 	plane := goldenPlane()
 	for _, tc := range goldenFidelities {
@@ -88,7 +89,7 @@ func TestGoldenKernels(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := map[string][]float64{}
-			for _, name := range e.Names() {
+			for _, name := range append(e.Names(), "reconstruct-direct") {
 				k, err := e.Kernel(name)
 				if err != nil {
 					t.Fatal(err)

@@ -15,9 +15,9 @@
 //     arbitrary block convolution, and closed-form least-squares
 //     reconstruction (the adjoint of the CA matrix over its Gram factor).
 //
-//   - Iterative operators (IterOp): Landweber reconstruction, which
-//     alternates optical applications of the CA forward matrix and its
-//     adjoint, accumulating digitally between passes.
+//   - Iterative operators (CGOp): conjugate-gradient reconstruction,
+//     which alternates optical applications of the CA forward matrix and
+//     its adjoint, accumulating digitally between passes.
 //
 // Determinism contract: Apply(plane, seed, workers) is bit-identical for
 // any worker count and any interleaving — window j of the output draws

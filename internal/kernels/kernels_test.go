@@ -3,6 +3,7 @@ package kernels_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -20,14 +21,12 @@ import (
 // quantization error (flat across CR thanks to the full-scale weight
 // normalisation); a scale or seeding regression trips them immediately.
 var builtinTol = map[string]float64{
-	"reconstruct":        0.01,
-	"reconstruct-direct": 0.01,
-	"reconstruct-iter":   0.015,
-	"reconstruct-cg":     0.015,
-	"edge":               0.12,
-	"sharpen":            0.1,
-	"denoise":            0.01,
-	"downsample2x":       0.005,
+	"reconstruct":    0.01,
+	"reconstruct-cg": 0.015,
+	"edge":           0.12,
+	"sharpen":        0.1,
+	"denoise":        0.01,
+	"downsample2x":   0.005,
 }
 
 // builtinNames returns the expected registry contents, derived from the
@@ -202,34 +201,6 @@ func TestReconstructLeastSquares(t *testing.T) {
 	}
 }
 
-// TestIterConvergesToClosedForm: the Landweber reference converges to the
-// closed-form least-squares reference (contraction 0.1 per iteration, 12
-// iterations → ~1e-12 of the fixed point).
-func TestIterConvergesToClosedForm(t *testing.T) {
-	const pool = 4
-	core := newCore(t, 8, 8, oc.Ideal)
-	rec, err := kernels.NewReconstruct(core, pool)
-	if err != nil {
-		t.Fatal(err)
-	}
-	it, err := kernels.NewReconstructIter(core, pool, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane := synthPlane(6, 6, 7)
-	a, err := rec.Reference(plane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := it.Reference(plane)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxAbsDiff(t, a, b); d > 1e-9 {
-		t.Errorf("Landweber reference does not converge to closed form: max |diff| = %g", d)
-	}
-}
-
 // TestSeededDeterminism is the package determinism contract under the
 // race detector: in PhysicalNoisy fidelity, Apply(plane, seed, workers)
 // is bit-identical across worker counts and repeated calls, and a
@@ -310,8 +281,10 @@ func TestEngineRegistry(t *testing.T) {
 	if err := eng.Register(custom); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Process("boxblur", synthPlane(4, 4, 1), 0, 1); err != nil {
-		t.Errorf("custom kernel via Process: %v", err)
+	if k, err := eng.Kernel("boxblur"); err != nil {
+		t.Error(err)
+	} else if _, err := k.Apply(synthPlane(4, 4, 1), 0, 1); err != nil {
+		t.Errorf("custom kernel Apply: %v", err)
 	}
 }
 
@@ -358,5 +331,56 @@ func TestValidation(t *testing.T) {
 	}
 	if d := maxAbsDiff(t, got, want); d > 1.2 {
 		t.Errorf("out-of-range kernel rescaling off: max |diff| = %g", d)
+	}
+}
+
+// TestAliasesResolveToReconstruct: each alias resolves to the very
+// operator object registered as reconstruct, is not listed by Names,
+// describes itself by its target, and cannot be registered over.
+func TestAliasesResolveToReconstruct(t *testing.T) {
+	core := newCore(t, 4, 4, oc.Ideal)
+	eng, err := kernels.NewEngine(core, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := eng.Kernel("reconstruct")
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases := kernels.Aliases()
+	if want := []string{"reconstruct-direct", "reconstruct-iter"}; !slices.Equal(aliases, want) {
+		t.Fatalf("Aliases() = %v, want %v", aliases, want)
+	}
+	for _, alias := range aliases {
+		k, err := eng.Kernel(alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k != rec {
+			t.Errorf("Kernel(%q) is not the reconstruct operator", alias)
+		}
+		if got := kernels.Canonical(alias); got != "reconstruct" {
+			t.Errorf("Canonical(%q) = %q, want reconstruct", alias, got)
+		}
+		desc, err := eng.Description(alias)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := "alias of reconstruct: " + rec.Description(); desc != want {
+			t.Errorf("Description(%q) = %q, want %q", alias, desc, want)
+		}
+		if slices.Contains(eng.Names(), alias) {
+			t.Errorf("Names() lists alias %q", alias)
+		}
+		shadow, err := kernels.NewBlockConv(core, alias, "", [][]float64{{1}}, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Register(shadow); err == nil {
+			t.Errorf("Register accepted a kernel named after alias %q", alias)
+		}
+	}
+	if got := kernels.Canonical("edge"); got != "edge" {
+		t.Errorf("Canonical(edge) = %q", got)
 	}
 }

@@ -8,27 +8,16 @@
 //
 //	x̂ = Φᵀ (Φ Φᵀ)⁻¹ y  =  w y / ‖w‖²       (per window, since ΦΦᵀ = ‖w‖² I)
 //
-// Two kernels compute it. "reconstruct" programs the closed form —
-// the adjoint column w over the Gram factor — as a (N² x 1) LinOp.
-// "reconstruct-iter" runs Landweber iterations
-//
-//	x_{t+1} = x_t + τ Φᵀ (y − Φ x_t)
-//
-// alternating optical applications of the forward row (Φ) and the
-// adjoint column (Φᵀ), converging geometrically to the same least-squares
-// solution with contraction factor (1 − τ‖w‖²). Both stream activations
-// in [0, 1]: the iterate is rescaled by ‖w‖²/max(w) before the forward
-// pass (and the readout rescaled back) so the physical [0,1] activation
-// range is never exceeded, and the residual stays non-negative because
-// the iterate approaches the solution from below.
+// "reconstruct" programs that closed form — the adjoint column w over
+// the Gram factor — as a (N² x 1) LinOp: one optical pass per compressed
+// sample. "reconstruct-cg" (cg.go) reaches the same solution by CGNR
+// iteration with alternating optical forward and adjoint passes.
 package kernels
 
 import (
 	"fmt"
 
 	"lightator/internal/oc"
-	"lightator/internal/sensor"
-	"lightator/internal/trace"
 )
 
 // caGeometry derives the per-window CA quantities every reconstruction
@@ -64,269 +53,4 @@ func NewReconstruct(core *oc.Core, poolN int) (Kernel, error) {
 	return NewLinOp(core, "reconstruct",
 		fmt.Sprintf("least-squares reconstruction: each compressed sample expands to its %dx%d block via the CA adjoint over the Gram factor", poolN, poolN),
 		op, 1, 1, 0, poolN, 1/gram)
-}
-
-// IterOp is the Landweber reconstruction kernel: per compressed sample it
-// alternates optical forward (Φ, a 1 x N² row) and adjoint (Φᵀ, an
-// N² x 1 column) passes, accumulating the iterate digitally.
-type IterOp struct {
-	name  string
-	desc  string
-	n     int     // pooling factor == output block side
-	iters int     // Landweber iteration count
-	tau   float64 // step size; τ‖w‖² < 1 for monotone convergence
-	w     []float64
-	gram  float64
-	wmax  float64
-	fwd   *oc.ProgrammedMatrix // 1 x n²: the CA row w
-	adj   *oc.ProgrammedMatrix // n² x 1: the CA column wᵀ
-	stats solverCounters
-}
-
-// DefaultLandweberIters is the default iteration count: with the default
-// step the residual contracts by 10x per iteration, so 12 iterations
-// reach float64-visible convergence.
-const DefaultLandweberIters = 12
-
-// NewReconstructIter builds the Landweber reconstruction kernel. iters
-// <= 0 takes DefaultLandweberIters. The step size is fixed at 0.9/‖w‖²,
-// which keeps every residual non-negative (required: residuals are
-// streamed as light intensities) and contracts the error by 10x per
-// iteration.
-func NewReconstructIter(core *oc.Core, poolN, iters int) (Kernel, error) {
-	if iters <= 0 {
-		iters = DefaultLandweberIters
-	}
-	w, gram, wmax, err := caGeometry(poolN)
-	if err != nil {
-		return nil, err
-	}
-	// Both matrices are programmed at full scale (w/wmax) and the factor
-	// restored digitally, like LinOp: the CA weights shrink as 1/N², and
-	// programming them raw would waste the MR dynamic range.
-	norm := make([]float64, len(w))
-	adjRows := make([][]float64, len(w))
-	for i, v := range w {
-		norm[i] = v / wmax
-		adjRows[i] = []float64{v / wmax}
-	}
-	fwd, err := core.Program([][]float64{norm})
-	if err != nil {
-		return nil, err
-	}
-	adj, err := core.Program(adjRows)
-	if err != nil {
-		return nil, err
-	}
-	// The two banks are separate health components so a fault plan (and
-	// the recovery ladder) can address each pass independently.
-	fwd.SetLabel("kernel:reconstruct-iter/fwd")
-	adj.SetLabel("kernel:reconstruct-iter/adj")
-	return &IterOp{
-		name: "reconstruct-iter",
-		desc: fmt.Sprintf("Landweber least-squares reconstruction: %d alternating optical forward/adjoint passes per %dx%d block", iters, poolN, poolN),
-		n:    poolN, iters: iters, tau: 0.9 / gram,
-		w: w, gram: gram, wmax: wmax,
-		fwd: fwd, adj: adj,
-	}, nil
-}
-
-// Name implements Kernel.
-func (o *IterOp) Name() string { return o.name }
-
-// Description implements Kernel.
-func (o *IterOp) Description() string { return o.desc }
-
-// Degraded reports whether either programmed bank is serving degraded
-// output (retired rows or unrecovered ABFT detections).
-func (o *IterOp) Degraded() bool { return o.fwd.Degraded() || o.adj.Degraded() }
-
-// OutDims implements Kernel.
-func (o *IterOp) OutDims(h, w int) (int, int, error) {
-	if h < 1 || w < 1 {
-		return 0, 0, fmt.Errorf("kernels: %s: empty plane %dx%d", o.name, h, w)
-	}
-	return h * o.n, w * o.n, nil
-}
-
-// Ops implements Kernel: every compressed sample runs iters Landweber
-// iterations, each one forward pass (1 row of n² coefficients) and one
-// adjoint pass (n² rows of 1 coefficient) — 1+n² row readouts and 2n²
-// runtime-DAC coefficient holds per iteration.
-func (o *IterOp) Ops(h, w int) (trace.OpCounts, error) {
-	if _, _, err := o.OutDims(h, w); err != nil {
-		return trace.OpCounts{}, err
-	}
-	samples := int64(h) * int64(w)
-	n2 := int64(o.n) * int64(o.n)
-	passes := samples * int64(o.iters)
-	return trace.OpCounts{
-		MVMRows:        passes * (1 + n2),
-		DACSettles:     passes * 2 * n2,
-		ADCConversions: passes * (1 + n2),
-		MRCoeffHolds:   passes * 2 * n2,
-		ABFTChecks:     o.fwd.ABFTChecksPer(passes) + o.adj.ABFTChecksPer(passes),
-	}, nil
-}
-
-// iterScratch is one shard's worth of pooled Landweber state: the n²
-// iterate x, the rescaled drive xs, the 1-element forward readout and
-// residual, and the n² adjoint readout. All buffers come from the shared
-// oc scratch arena, so the steady-state loop allocates nothing.
-type iterScratch struct {
-	x, xs, fwd, res, adj *[]float64
-}
-
-func (o *IterOp) getScratch() iterScratch {
-	n2 := o.n * o.n
-	return iterScratch{
-		x:   oc.GetScratch(n2),
-		xs:  oc.GetScratch(n2),
-		fwd: oc.GetScratch(1),
-		res: oc.GetScratch(1),
-		adj: oc.GetScratch(n2),
-	}
-}
-
-func (s iterScratch) release() {
-	oc.PutScratch(s.x)
-	oc.PutScratch(s.xs)
-	oc.PutScratch(s.fwd)
-	oc.PutScratch(s.res)
-	oc.PutScratch(s.adj)
-}
-
-// iterate runs the Landweber loop for one compressed sample y, filling
-// the n² iterate sc.x. apply executes one programmed-matrix pass into a
-// caller-owned destination (optical or exact, per caller); pass p of the
-// sample uses seed DeriveSeed(seed, p), so forward and adjoint passes of
-// every iteration own disjoint streams.
-func (o *IterOp) iterate(y float64, sc iterScratch, seed int64, apply func(pm *oc.ProgrammedMatrix, dst, in []float64, seed int64) error) error {
-	x, xs := *sc.x, *sc.xs
-	for i := range x {
-		x[i] = 0
-	}
-	// The iterate approaches x̂ = w y/‖w‖² from below, so entries are
-	// bounded by wmax/‖w‖², which can exceed the [0,1] activation range;
-	// stream x · ‖w‖²/wmax (≤ y ≤ 1) and undo the factor on the readout.
-	// The programmed matrices carry w/wmax (full-scale normalisation), so
-	// a forward readout F measures (up/wmax)·wᵀx and an adjoint readout
-	// A_i measures (w_i/wmax)·r.
-	up := o.gram / o.wmax
-	for t := 0; t < o.iters; t++ {
-		for i, v := range x {
-			xs[i] = v * up
-		}
-		if err := apply(o.fwd, *sc.fwd, xs, oc.DeriveSeed(seed, 2*t)); err != nil {
-			return err
-		}
-		r := y - (*sc.fwd)[0]*o.wmax/up
-		// Exact arithmetic keeps r >= 0; quantization can push it a hair
-		// below zero, and negative intensities cannot be emitted.
-		if r < 0 {
-			r = 0
-		}
-		(*sc.res)[0] = r
-		if err := apply(o.adj, *sc.adj, *sc.res, oc.DeriveSeed(seed, 2*t+1)); err != nil {
-			return err
-		}
-		for i := range x {
-			x[i] += o.tau * (*sc.adj)[i] * o.wmax
-		}
-	}
-	return nil
-}
-
-// passFn executes one programmed-matrix pass into dst.
-type passFn func(pm *oc.ProgrammedMatrix, dst, in []float64, seed int64) error
-
-// run shards the plane's samples across workers, each sample seeded with
-// DeriveSeed(seed, j) — the same per-window scheme as LinOp.Apply. Each
-// shard draws its Landweber state from the shared scratch arena once and
-// builds its per-goroutine pass executor through newApply (optical
-// shards check pooled Appliers out for the shard and release them via
-// the returned cleanup; the exact reference is stateless).
-func (o *IterOp) run(plane *sensor.Image, seed int64, workers int, newApply func() (passFn, func())) (*sensor.Image, error) {
-	if err := checkPlane(o.name, plane); err != nil {
-		return nil, err
-	}
-	if _, _, err := o.OutDims(plane.H, plane.W); err != nil {
-		return nil, err
-	}
-	out := sensor.NewImage(plane.H*o.n, plane.W*o.n, 1)
-	err := oc.ShardRange(plane.H*plane.W, workers, func(lo, hi int) error {
-		apply, release := newApply()
-		defer release()
-		sc := o.getScratch()
-		defer sc.release()
-		for j := lo; j < hi; j++ {
-			if err := o.iterate(plane.Pix[j], sc, oc.DeriveSeed(seed, j), apply); err != nil {
-				return fmt.Errorf("kernels: %s: sample %d: %w", o.name, j, err)
-			}
-			x := *sc.x
-			wy, wx := j/plane.W, j%plane.W
-			for by := 0; by < o.n; by++ {
-				for bx := 0; bx < o.n; bx++ {
-					out.Pix[(wy*o.n+by)*out.W+wx*o.n+bx] = x[by*o.n+bx]
-				}
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// PassTotals implements SolverStats: the fixed-count Landweber loop
-// always runs 2·iters optical passes per sample.
-func (o *IterOp) PassTotals() (passes, samples uint64) {
-	return o.stats.PassTotals()
-}
-
-// Apply implements Kernel: every pass runs through the optical core.
-func (o *IterOp) Apply(plane *sensor.Image, seed int64, workers int) (*sensor.Image, error) {
-	out, err := o.run(plane, seed, workers, func() (passFn, func()) {
-		fwd, adj := o.fwd.NewApplier(), o.adj.NewApplier()
-		apply := func(pm *oc.ProgrammedMatrix, dst, in []float64, seed int64) error {
-			if pm == o.fwd {
-				return fwd.ApplySeededInto(dst, in, seed)
-			}
-			return adj.ApplySeededInto(dst, in, seed)
-		}
-		return apply, func() {
-			fwd.Release()
-			adj.Release()
-		}
-	})
-	if err == nil {
-		samples := uint64(plane.H) * uint64(plane.W)
-		o.stats.add(samples*uint64(2*o.iters), samples)
-	}
-	return out, err
-}
-
-// Reference implements Kernel: the same Landweber loop in exact float
-// arithmetic against the real-valued CA weights. The closure reproduces
-// the programmed matrices' full-scale normalisation (w/wmax) exactly, so
-// iterate's digital rescaling applies unchanged.
-func (o *IterOp) Reference(plane *sensor.Image) (*sensor.Image, error) {
-	exact := func(pm *oc.ProgrammedMatrix, dst, in []float64, _ int64) error {
-		if pm == o.fwd {
-			sum := 0.0
-			for i, v := range o.w {
-				sum += v / o.wmax * in[i]
-			}
-			dst[0] = sum
-			return nil
-		}
-		for i, v := range o.w {
-			dst[i] = v / o.wmax * in[0]
-		}
-		return nil
-	}
-	return o.run(plane, 0, 1, func() (passFn, func()) {
-		return exact, func() {}
-	})
 }

@@ -1,13 +1,11 @@
-// White-box tests of the solver machinery: the Gaussian-elimination
-// factorization behind reconstruct-direct and the CGNR loop behind
-// reconstruct-cg (residual monotonicity, stopping-rule behavior at loose
-// vs tight tolerances, multi-row Gram solves).
+// White-box tests of the CGNR loop behind reconstruct-cg: residual
+// monotonicity, stopping-rule behavior at loose vs tight tolerances, and
+// its optical pass budget.
 package kernels
 
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"lightator/internal/oc"
@@ -21,151 +19,6 @@ func solverTestCore(t *testing.T, wBits, aBits int, fid oc.Fidelity) *oc.Core {
 		t.Fatal(err)
 	}
 	return core
-}
-
-// TestSolveLinear pins the Gaussian-elimination direct solver on systems
-// with known solutions, including one whose natural order has a zero
-// leading pivot (partial pivoting required) and a singular one.
-func TestSolveLinear(t *testing.T) {
-	// 2x2, needs the row swap: a[0][0] == 0.
-	x, err := solveLinear(
-		[][]float64{{0, 2}, {3, 1}},
-		[][]float64{{4}, {5}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 3x = 5 - 1*x1, 2*x1 = 4 -> x1 = 2, x0 = 1.
-	if math.Abs(x[0][0]-1) > 1e-12 || math.Abs(x[1][0]-2) > 1e-12 {
-		t.Errorf("pivoted 2x2 solve = %v, want [[1] [2]]", x)
-	}
-	// 3x3 with two right-hand sides, checked by residual g·x - b = 0.
-	g := [][]float64{{4, 1, 0}, {1, 3, 1}, {0, 1, 2}}
-	b := [][]float64{{1, 0}, {0, 1}, {2, -1}}
-	x, err = solveLinear(g, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range g {
-		for c := range b[0] {
-			sum := 0.0
-			for k := range g[i] {
-				sum += g[i][k] * x[k][c]
-			}
-			if math.Abs(sum-b[i][c]) > 1e-12 {
-				t.Errorf("3x3 residual at (%d,%d): %g", i, c, sum-b[i][c])
-			}
-		}
-	}
-	// Singular: second row is a multiple of the first.
-	if _, err := solveLinear([][]float64{{1, 2}, {2, 4}}, [][]float64{{1}, {2}}); err == nil {
-		t.Error("singular system solved without error")
-	} else if !strings.Contains(err.Error(), "linearly dependent") {
-		t.Errorf("singular system error %q does not name the cause", err)
-	}
-}
-
-// TestGramSolverMultiRow pins the tentpole generalization: a sensing
-// configuration with k² > 1 measurements per window — rows that share
-// pixels, beyond the rank-1 block-diagonal CA — still solves exactly.
-func TestGramSolverMultiRow(t *testing.T) {
-	core := solverTestCore(t, 8, 8, oc.Ideal)
-
-	// Square invertible case: 4 measurements of a 2x2 pixel block. Least
-	// squares is the exact inverse, so reconstruction recovers any block.
-	phi := [][]float64{
-		{0.5, 0.25, 0.15, 0.10}, // overlapping rows: every row reads every pixel
-		{0.10, 0.5, 0.25, 0.15},
-		{0.15, 0.10, 0.5, 0.25},
-		{0.25, 0.15, 0.10, 0.5},
-	}
-	k, err := NewGramSolver(core, "multirow", "4-row overlapping sensing", phi, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(11))
-	truth := sensor.NewImage(6, 6, 1)
-	for i := range truth.Pix {
-		truth.Pix[i] = rng.Float64()
-	}
-	// Compress: each 2x2 pixel block becomes a 2x2 window of measurements.
-	meas := sensor.NewImage(6, 6, 1)
-	for wy := 0; wy < 3; wy++ {
-		for wx := 0; wx < 3; wx++ {
-			var x [4]float64
-			for dy := 0; dy < 2; dy++ {
-				for dx := 0; dx < 2; dx++ {
-					x[dy*2+dx] = truth.Pix[(wy*2+dy)*6+wx*2+dx]
-				}
-			}
-			for r := 0; r < 4; r++ {
-				sum := 0.0
-				for c := 0; c < 4; c++ {
-					sum += phi[r][c] * x[c]
-				}
-				meas.Pix[(wy*2+r/2)*6+wx*2+r%2] = sum
-			}
-		}
-	}
-	got, err := k.Reference(meas)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range truth.Pix {
-		if d := math.Abs(got.Pix[i] - truth.Pix[i]); d > 1e-9 {
-			t.Fatalf("multi-row exact solve diverges at %d: |diff| = %g", i, d)
-		}
-	}
-
-	// Underdetermined case (m < d): 4 measurements of a 3x3 block. The
-	// min-norm solution must still satisfy Φx̂ = y exactly.
-	under := make([][]float64, 4)
-	urng := rand.New(rand.NewSource(23))
-	for r := range under {
-		under[r] = make([]float64, 9)
-		for c := range under[r] {
-			under[r][c] = urng.Float64()
-		}
-	}
-	ku, err := NewGramSolver(core, "underdet", "4 measurements per 3x3 block", under, 2, 2, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	my := sensor.NewImage(2, 2, 1)
-	for i := range my.Pix {
-		my.Pix[i] = urng.Float64()
-	}
-	xh, err := ku.Reference(my)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One window (the single 2x2 measurement window) -> one 3x3 block.
-	for r := 0; r < 4; r++ {
-		y := my.Pix[(r/2)*2+r%2]
-		sum := 0.0
-		for c := 0; c < 9; c++ {
-			sum += under[r][c] * xh.Pix[(c/3)*3+c%3]
-		}
-		if d := math.Abs(sum - y); d > 1e-9 {
-			t.Errorf("min-norm solution violates Φx̂ = y at row %d: |diff| = %g", r, d)
-		}
-	}
-
-	// Rank-deficient sensing rows must be rejected at construction.
-	dep := [][]float64{
-		{1, 0, 0, 0},
-		{0, 1, 0, 0},
-		{1, 1, 0, 0}, // row0 + row1
-		{0, 0, 1, 0},
-	}
-	if _, err := NewGramSolver(core, "dependent", "", dep, 2, 2, 0); err == nil {
-		t.Error("linearly dependent sensing rows accepted")
-	}
-	// More measurements than pixels can never have a full-rank Gram.
-	over := [][]float64{{1}, {2}, {3}, {4}}
-	if _, err := NewGramSolver(core, "over", "", over, 2, 2, 0); err == nil {
-		t.Error("overdetermined (m > d) sensing matrix accepted")
-	}
 }
 
 // cgOpticalPass builds the same optical pass executor CGOp.Apply uses,
@@ -270,18 +123,31 @@ func TestCGStoppingRule(t *testing.T) {
 	}
 }
 
-// TestCGHalvesLandweberPasses pins the acceptance criterion:
-// reconstruct-cg reaches reconstruct-iter's accuracy within at most half
-// of its optical passes (Landweber: 2·12 = 24 per sample, so CG must
-// average <= 12 — in practice it sits near 3).
+// TestCGHalvesLandweberPasses pins reconstruct-cg's pass budget: it
+// averages at most half the 24 optical passes per sample that a fixed
+// 12-iteration Landweber loop spends on the same system (in practice it
+// sits near 3), and it is no less accurate against the closed-form
+// least-squares solution than that loop was. landweberErr is the
+// Landweber loop's measured max |error| on this plane and seed (8/8 bits,
+// 2 workers), rounded down, recorded when it was retired from the
+// registry.
 func TestCGHalvesLandweberPasses(t *testing.T) {
-	for _, fid := range []oc.Fidelity{oc.Ideal, oc.Physical, oc.PhysicalNoisy} {
+	const landweberPasses = 2 * 12
+	for _, tc := range []struct {
+		fid          oc.Fidelity
+		landweberErr float64
+	}{
+		{oc.Ideal, 0.006358},
+		{oc.Physical, 0.01906},
+		{oc.PhysicalNoisy, 0.1280},
+	} {
+		fid := tc.fid
 		core := solverTestCore(t, 8, 8, fid)
 		cg, err := NewReconstructCG(core, 4, 0, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		it, err := NewReconstructIter(core, 4, 0)
+		rec, err := NewReconstruct(core, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -290,45 +156,30 @@ func TestCGHalvesLandweberPasses(t *testing.T) {
 		for i := range plane.Pix {
 			plane.Pix[i] = rng.Float64()
 		}
-		exact, err := cg.Reference(plane)
+		exact, err := rec.Reference(plane)
 		if err != nil {
 			t.Fatal(err)
-		}
-		maxErr := func(img *sensor.Image) float64 {
-			max := 0.0
-			for i := range img.Pix {
-				if d := math.Abs(img.Pix[i] - exact.Pix[i]); d > max {
-					max = d
-				}
-			}
-			return max
 		}
 		cgOut, err := cg.Apply(plane, 0x5eed, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		itOut, err := it.Apply(plane, 0x5eed, 2)
-		if err != nil {
-			t.Fatal(err)
+		ce := 0.0
+		for i := range cgOut.Pix {
+			ce = math.Max(ce, math.Abs(cgOut.Pix[i]-exact.Pix[i]))
 		}
-		// "Reaches reconstruct-iter's accuracy": CG's error vs the exact
-		// least-squares solution is no worse than Landweber's (small slack
-		// for noise realizations drawn from different pass streams).
-		if ce, ie := maxErr(cgOut), maxErr(itOut); ce > ie*1.25+1e-9 {
+		// Small slack for noise realizations drawn from different pass
+		// streams.
+		if ie := tc.landweberErr; ce > ie*1.25+1e-9 {
 			t.Errorf("%v: CG error %g exceeds Landweber error %g + 25%%", fid, ce, ie)
 		}
 		passes, samples := cg.PassTotals()
 		if samples != uint64(len(plane.Pix)) {
 			t.Fatalf("%v: PassTotals samples = %d, want %d", fid, samples, len(plane.Pix))
 		}
-		itPasses, itSamples := it.(*IterOp).PassTotals()
-		if itSamples != samples || itPasses != samples*uint64(2*DefaultLandweberIters) {
-			t.Fatalf("%v: Landweber PassTotals = %d/%d, want %d/%d",
-				fid, itPasses, itSamples, samples*uint64(2*DefaultLandweberIters), samples)
-		}
-		if avg, half := float64(passes)/float64(samples), float64(DefaultLandweberIters); avg > half {
+		if avg, half := float64(passes)/float64(samples), float64(landweberPasses/2); avg > half {
 			t.Errorf("%v: CG averaged %.2f optical passes per sample, acceptance bound is %.0f (half of Landweber's %d)",
-				fid, avg, half, 2*DefaultLandweberIters)
+				fid, avg, half, landweberPasses)
 		}
 	}
 }

@@ -492,7 +492,7 @@ func (pm *ProgrammedMatrix) addDefect(dst, xq []float64) {
 // against one programmed matrix: the quantization buffer and (in
 // PhysicalNoisy fidelity) the per-row noise source are checked out of
 // the shared pools once and reused across calls, so tight apply loops —
-// the kernel window walk, the infer im2col stream, Landweber passes —
+// the kernel window walk, the infer im2col stream, CGNR passes —
 // pay no pool traffic per call. Release returns the scratch when the
 // loop is done. Not safe for concurrent use: create one Applier per
 // goroutine; the underlying matrix may be shared freely.

@@ -1,7 +1,5 @@
 package photonics
 
-import "math"
-
 // VCSEL models a directly modulated vertical-cavity surface-emitting laser,
 // the activation source of Lightator's DMVA. The optical output follows the
 // standard L-I curve: zero below the threshold current, then linear with
@@ -106,15 +104,4 @@ func (v *VCSEL) LevelForCode(code, bits int) float64 {
 	swing := v.MaxCurrent - v.ThresholdCurrent
 	i := v.ThresholdCurrent + swing*float64(code)/float64(n-1)
 	return v.OpticalPower(i)
-}
-
-// RelativeIntensityNoise applies a multiplicative RIN perturbation to an
-// optical power, given a RIN level in dB/Hz, a detection bandwidth in Hz
-// and a unit-normal random sample. Typical VCSEL RIN: -140 dB/Hz.
-func RelativeIntensityNoise(power, rinDBHz, bandwidthHz, normal float64) float64 {
-	if power <= 0 {
-		return power
-	}
-	variance := math.Pow(10, rinDBHz/10) * bandwidthHz * power * power
-	return power + math.Sqrt(variance)*normal
 }

@@ -397,19 +397,3 @@ func TestVariationSampling(t *testing.T) {
 		t.Errorf("untrimmed variation (%g) not clearly wider than trimmed (%g)", sumU, sumT)
 	}
 }
-
-func TestRelativeIntensityNoise(t *testing.T) {
-	p := 1e-3
-	same := RelativeIntensityNoise(p, -140, 5e9, 0)
-	if same != p {
-		t.Errorf("zero-sample RIN changed power: %g", same)
-	}
-	up := RelativeIntensityNoise(p, -140, 5e9, 1)
-	if up <= p {
-		t.Error("positive sample should increase power")
-	}
-	// RIN perturbation must be small relative to signal at -140 dB/Hz.
-	if (up-p)/p > 0.01 {
-		t.Errorf("RIN perturbation %g too large", (up-p)/p)
-	}
-}

@@ -90,21 +90,6 @@ func BayerChannelAt(y, x int) BayerChannel {
 	return BayerB
 }
 
-// Mosaic samples an RGB scene through the RGGB colour-filter array,
-// producing the single-plane raw frame the sensor actually captures.
-func Mosaic(scene *Image) (*Image, error) {
-	if scene.C != 3 {
-		return nil, fmt.Errorf("sensor: mosaic needs an RGB scene, have %d channels", scene.C)
-	}
-	raw := NewImage(scene.H, scene.W, 1)
-	for y := 0; y < scene.H; y++ {
-		for x := 0; x < scene.W; x++ {
-			raw.Set(y, x, 0, scene.At(y, x, int(BayerChannelAt(y, x))))
-		}
-	}
-	return raw, nil
-}
-
 // Array is the 256x256 global-shutter pixel array plus its readout chain.
 // Expose captures the whole frame in one shutter event (global shutter:
 // every pixel integrates over the same interval), and ReadFrame converts
@@ -179,10 +164,10 @@ func (a *Array) Expose(raw *Image) error {
 }
 
 // ExposeRGB mosaics an RGB scene through the Bayer filter and exposes it.
-// The mosaic is fused into the exposure loop — each site reads its Bayer
-// channel straight from the scene (exactly Mosaic's per-site selection)
-// without materializing the intermediate raw plane, since Capture runs
-// once per pipeline frame.
+// The mosaic is fused into the exposure loop — each site reads its
+// Bayer channel (BayerChannelAt) straight from the scene without
+// materializing the intermediate raw plane, since Capture runs once per
+// pipeline frame.
 func (a *Array) ExposeRGB(scene *Image) error {
 	if scene.C != 3 {
 		return fmt.Errorf("sensor: mosaic needs an RGB scene, have %d channels", scene.C)

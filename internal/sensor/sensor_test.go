@@ -95,32 +95,6 @@ func TestBayerPatternRGGB(t *testing.T) {
 	}
 }
 
-func TestMosaicSelectsChannel(t *testing.T) {
-	scene := NewImage(4, 4, 3)
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
-			scene.Set(y, x, 0, 0.9) // R
-			scene.Set(y, x, 1, 0.5) // G
-			scene.Set(y, x, 2, 0.1) // B
-		}
-	}
-	raw, err := Mosaic(scene)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[BayerChannel]float64{BayerR: 0.9, BayerG: 0.5, BayerB: 0.1}
-	for y := 0; y < 4; y++ {
-		for x := 0; x < 4; x++ {
-			if raw.At(y, x, 0) != want[BayerChannelAt(y, x)] {
-				t.Fatalf("site (%d,%d) value %g", y, x, raw.At(y, x, 0))
-			}
-		}
-	}
-	if _, err := Mosaic(NewImage(2, 2, 1)); err == nil {
-		t.Error("mosaic of non-RGB accepted")
-	}
-}
-
 func TestArrayDefaultDimensions(t *testing.T) {
 	a := Default()
 	if a.Rows != 256 || a.Cols != 256 {

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"lightator/internal/infer"
+	"lightator/internal/kernels"
 	"lightator/internal/pipeline"
 	"lightator/internal/sensor"
 )
@@ -162,17 +163,19 @@ func (s *Server) compressOp(req *CompressRequest) (frameOp, error) {
 }
 
 // processOp resolves /v1/process: the kernel picks the micro-batcher
-// and joins the cache identity.
+// and joins the cache identity. An alias resolves to its kernel here, so
+// everything past the door sees one name.
 func (s *Server) processOp(req *ProcessRequest) (frameOp, error) {
 	if len(s.processB) == 0 {
 		return frameOp{}, apiErr(http.StatusNotImplemented, CodeNotImplemented, "compressed-domain kernels disabled (CAPool = 0)")
 	}
-	b, ok := s.processB[req.Kernel]
+	kernel := kernels.Canonical(req.Kernel)
+	b, ok := s.processB[kernel]
 	if !ok {
 		return frameOp{}, apiErr(http.StatusBadRequest, CodeUnknownKernel, "unknown kernel %q (GET /v1/kernels lists the registry)", req.Kernel)
 	}
 	return frameOp{
-		target: req.Kernel, tag: "process", parts: [][]byte{[]byte(req.Kernel)},
+		target: kernel, tag: "process", parts: [][]byte{[]byte(kernel)},
 		input: &req.Envelope.Scene, b: b,
 		encode: func(res pipeline.Result) (any, error) {
 			return ProcessResponse{Plane: EncodeImage(res.Processed), Degraded: res.Degraded}, nil

@@ -11,3 +11,10 @@ func PooledScene() *sensor.Image {
 	im, _ := scenePool.Get().(*sensor.Image)
 	return im
 }
+
+// SessionBusy reports whether session id exists and has a frame stream
+// active.
+func SessionBusy(srv *Server, id string) bool {
+	sess, ok := srv.sessions.Get(id)
+	return ok && sess.Busy()
+}

@@ -8,16 +8,17 @@
 // cases during `go test`; `make fuzz` (and the ci.yml fuzz-smoke job)
 // runs each target through the coverage-guided fuzzer for a short burst.
 //
-// Like every server test this is package server_test: the process
-// target drives a real accelerator through the public facade. The
-// handler is invoked directly via httptest.NewRecorder — not through a
-// live listener — so a handler panic reaches the fuzzer instead of being
-// swallowed by net/http's connection-level recover.
+// Like every server test this is package server_test: the process,
+// infer and matvec targets drive a real accelerator through the public
+// facade. The handler is invoked directly via httptest.NewRecorder —
+// not through a live listener — so a handler panic reaches the fuzzer
+// instead of being swallowed by net/http's connection-level recover.
 package server_test
 
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -92,8 +93,8 @@ func FuzzDecodeFrame(f *testing.F) {
 	})
 }
 
-// fuzzHandler lazily stands up one shared accelerator + server per
-// process for the process-endpoint target. No Drain: the fuzz process
+// fuzzProcessHandler lazily stands up one shared accelerator + server
+// per process for the handler-level targets. No Drain: the fuzz process
 // exits with the server's goroutines still serving, which is fine — the
 // target never shuts the server down mid-run.
 var (
@@ -168,11 +169,123 @@ func TestProcessRequestBodies(t *testing.T) {
 // answer is well formed; it returns the status.
 func checkProcessBody(t *testing.T, body []byte) int {
 	t.Helper()
+	return checkBody(t, "/v1/process", body, func(resp server.ProcessResponse) error {
+		_, err := server.DecodeImage(resp.Plane)
+		return err
+	})
+}
+
+// FuzzInferRequest throws arbitrary bodies at POST /v1/infer, in both
+// the scene and the plane form: every response must be a well-formed
+// status < 500, and a 200 must carry logits with an in-range class.
+//
+// The seeds hold no scene or plane above 2x2, which the 16x16 sensor's
+// 8x8 models refuse; TestInferRequestBodies runs the same check on
+// full-size bodies that answer 200.
+func FuzzInferRequest(f *testing.F) {
+	small := server.EncodeImage(testScene(3, 2, 2))
+	plane := server.EncodeImage(testCompressedPlane(3, 2, 2))
+	for _, model := range []string{"tiny-cnn", "tiny-mlp"} {
+		for _, req := range []server.InferRequest{{Scene: &small, Model: model}, {Plane: &plane, Model: model}} {
+			body, err := json.Marshal(req)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(body)
+		}
+	}
+	both, err := json.Marshal(server.InferRequest{Scene: &small, Plane: &plane, Model: "tiny-cnn"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(both)
+	f.Add([]byte(`{"model":"tiny-cnn"}`))
+	f.Add([]byte(`{"plane":{"h":2,"w":2,"c":1,"pix_b64":"zzz"},"model":"tiny-mlp"}`))
+	f.Add([]byte(`{"plane":{"h":-8,"w":70000,"c":1,"pix_b64":""},"model":"tiny-cnn"}`))
+	f.Add([]byte(`{"scene":{"h":1,"w":1,"c":3,"pix_b64":"AAAAAAAAAAA="},"model":"no-such-model"}`))
+	f.Add([]byte(`{"plane":null,"scene":null,"model":"tiny-cnn","seed":-1}`))
+	f.Fuzz(func(t *testing.T, body []byte) { checkInferBody(t, body) })
+}
+
+// TestInferRequestBodies runs FuzzInferRequest's check on a full 16x16
+// scene and a full 8x8 plane per model; each must answer 200.
+func TestInferRequestBodies(t *testing.T) {
+	scene := server.EncodeImage(testScene(3, 16, 16))
+	plane := server.EncodeImage(testCompressedPlane(3, 8, 8))
+	for _, model := range []string{"tiny-cnn", "tiny-mlp"} {
+		for _, req := range []server.InferRequest{{Scene: &scene, Model: model}, {Plane: &plane, Model: model}} {
+			body, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if code := checkInferBody(t, body); code != http.StatusOK {
+				t.Errorf("%s: status %d for %s", model, code, body[:40])
+			}
+		}
+	}
+}
+
+// checkInferBody posts body to /v1/infer and fails unless the answer is
+// well formed; it returns the status.
+func checkInferBody(t *testing.T, body []byte) int {
+	t.Helper()
+	return checkBody(t, "/v1/infer", body, func(resp server.InferResponse) error {
+		if resp.Class < 0 || resp.Class >= len(resp.Logits) {
+			return fmt.Errorf("class %d outside %d logits", resp.Class, len(resp.Logits))
+		}
+		return nil
+	})
+}
+
+// FuzzMatVecRequest throws arbitrary bodies at POST /v1/matvec: every
+// response must be a well-formed status < 500, and a 200 must carry one
+// output per weight row.
+func FuzzMatVecRequest(f *testing.F) {
+	f.Add([]byte(`{"weights":[[0.5,-0.5],[0.25,0.75]],"activations":[1,0.5],"seed":3}`))
+	f.Add([]byte(`{"weights":[[1]],"activations":[0]}`))
+	f.Add([]byte(`{"weights":[[0.5,0.5],[1]],"activations":[1,1]}`)) // ragged rows
+	f.Add([]byte(`{"weights":[[2,-3]],"activations":[1,0.5]}`))      // weights outside [-1,1]
+	f.Add([]byte(`{"weights":[[0.5]],"activations":[1.5]}`))         // activation outside [0,1]
+	f.Add([]byte(`{"weights":[[0.5,0.5]],"activations":[1]}`))       // length mismatch
+	f.Add([]byte(`{"weights":[],"activations":[]}`))
+	f.Add([]byte(`{"weights":[[1e308,-1e308]],"activations":[1e-308,1]}`))
+	f.Add([]byte(`{"weights":"nope"}`))
+	f.Add([]byte(`{"unknown_field":1}`))
+	f.Fuzz(func(t *testing.T, body []byte) { checkMatVecBody(t, body) })
+}
+
+// TestMatVecRequestBodies runs FuzzMatVecRequest's check on a valid
+// body, which must answer 200.
+func TestMatVecRequestBodies(t *testing.T) {
+	if code := checkMatVecBody(t, []byte(`{"weights":[[0.5,-0.5],[0.25,0.75],[1,0]],"activations":[1,0.5]}`)); code != http.StatusOK {
+		t.Errorf("status %d", code)
+	}
+}
+
+// checkMatVecBody posts body to /v1/matvec and fails unless the answer
+// is well formed; it returns the status.
+func checkMatVecBody(t *testing.T, body []byte) int {
+	t.Helper()
+	return checkBody(t, "/v1/matvec", body, func(resp server.MatVecResponse) error {
+		var req server.MatVecRequest
+		if err := json.Unmarshal(body, &req); err == nil && len(resp.Output) != len(req.Weights) {
+			return fmt.Errorf("%d outputs for %d weight rows", len(resp.Output), len(req.Weights))
+		}
+		return nil
+	})
+}
+
+// checkBody posts body to target on the shared fuzz server and fails
+// unless the answer is well formed: a 200 must decode into R and pass
+// ok; anything else must be a status < 500 with the structured error
+// shape. It returns the status.
+func checkBody[R any](t *testing.T, target string, body []byte, ok func(R) error) int {
+	t.Helper()
 	h, err := fuzzProcessHandler()
 	if err != nil {
 		t.Fatal(err)
 	}
-	req := httptest.NewRequest(http.MethodPost, "/v1/process", strings.NewReader(string(body)))
+	req := httptest.NewRequest(http.MethodPost, target, strings.NewReader(string(body)))
 	req.Header.Set("Content-Type", "application/json")
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, req)
@@ -180,12 +293,12 @@ func checkProcessBody(t *testing.T, body []byte) int {
 		t.Fatalf("server error %d for body %q: %s", rec.Code, body, rec.Body.String())
 	}
 	if rec.Code == http.StatusOK {
-		var resp server.ProcessResponse
+		var resp R
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("200 with undecodable body: %v", err)
 		}
-		if _, err := server.DecodeImage(resp.Plane); err != nil {
-			t.Fatalf("200 with undecodable plane: %v", err)
+		if err := ok(resp); err != nil {
+			t.Fatalf("200 for body %q: %v", body, err)
 		}
 	} else {
 		// Every non-200 must carry the structured error shape: a

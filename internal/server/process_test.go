@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,9 +17,64 @@ import (
 	"lightator"
 )
 
+// kernelAliases are the accepted names that resolve to reconstruct.
+var kernelAliases = []string{"reconstruct-direct", "reconstruct-iter"}
+
+// TestProcessAliasesServeReconstruct: at the default CAPool, /v1/process
+// under either alias answers reconstruct's bytes and modelled energy,
+// on reconstruct's pipeline and under its cache key — an alias request
+// is the second sighting of a reconstruct key, and the third request is
+// a hit — with no pipeline or energy series of its own.
+func TestProcessAliasesServeReconstruct(t *testing.T) {
+	acc := testAccelerator(t, lightator.Physical)
+	srv, ts := testServer(t, acc, lightator.ServeOptions{Workers: 1, BatchDelay: time.Millisecond})
+	post := func(kernel, wantCache string) ([]byte, http.Header) {
+		t.Helper()
+		resp := postRaw(t, ts.URL+"/v1/process", lightator.NewProcessRequest(lightator.EncodeImage(testScene(5, 32, 32)), kernel, nil))
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d (%s)", kernel, resp.StatusCode, buf.String())
+		}
+		if got := resp.Header.Get("X-Lightator-Cache"); got != wantCache {
+			t.Errorf("%s: X-Lightator-Cache = %q, want %s", kernel, got, wantCache)
+		}
+		return buf.Bytes(), resp.Header
+	}
+	want, hdr := post("reconstruct", "miss")
+	direct, directHdr := post("reconstruct-direct", "miss")
+	iter, _ := post("reconstruct-iter", "hit")
+	if !bytes.Equal(direct, want) || !bytes.Equal(iter, want) {
+		t.Error("an alias served bytes that differ from reconstruct's")
+	}
+	if e := hdr.Get("X-Lightator-Energy-J"); e == "" || directHdr.Get("X-Lightator-Energy-J") != e {
+		t.Errorf("modelled energy: reconstruct %q, reconstruct-direct %q", e, directHdr.Get("X-Lightator-Energy-J"))
+	}
+	m := srv.Metrics()
+	if rep := m.Process["reconstruct"]; rep.Frames != 2 {
+		t.Errorf("reconstruct pipeline ran %d frames, want 2 (one of them the alias's)", rep.Frames)
+	}
+	_, text := getBody(t, ts.URL+"/metrics")
+	for _, alias := range kernelAliases {
+		if _, ok := m.Process[alias]; ok {
+			t.Errorf("alias %s has a pipeline of its own", alias)
+		}
+		if _, ok := m.Energy["process:"+alias]; ok {
+			t.Errorf("alias %s has an energy gauge of its own", alias)
+		}
+		if strings.Contains(string(text), `"process:`+alias+`"`) {
+			t.Errorf("/metrics exports a series for alias %s", alias)
+		}
+	}
+}
+
 // TestConcurrentProcessMatchesFacade is the acceptance-criterion test:
 // concurrent clients hitting /v1/process across every registered kernel
-// — so requests for the same kernel coalesce into shared micro-batches —
+// and alias — so requests for the same kernel coalesce into shared
+// micro-batches —
 // get responses byte-identical to direct facade ProcessCompressed calls,
 // in every fidelity (the criterion demands the deterministic ones; the
 // seeded pipeline delivers PhysicalNoisy too).
@@ -30,6 +87,7 @@ func TestConcurrentProcessMatchesFacade(t *testing.T) {
 			if len(names) == 0 {
 				t.Fatal("no registered kernels")
 			}
+			names = append(names, kernelAliases...)
 			// Small batch size and a non-trivial delay force both size-
 			// and deadline-triggered flushes; caching is disabled so every
 			// response is a fresh pipeline trip.
@@ -97,13 +155,18 @@ func TestKernelsEndpointAndProcessErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	names := acc.Kernels()
+	// Every name the wire has accepted stays listed, aliases included.
+	names := []string{"denoise", "downsample2x", "edge", "reconstruct", "reconstruct-cg",
+		"reconstruct-direct", "reconstruct-iter", "sharpen"}
 	if len(list.Kernels) != len(names) {
-		t.Fatalf("registry lists %d kernels, facade has %d", len(list.Kernels), len(names))
+		t.Fatalf("registry lists %+v, want %v", list.Kernels, names)
 	}
 	for i, k := range list.Kernels {
 		if k.Name != names[i] || k.Description == "" {
 			t.Errorf("registry entry %d: %+v, want name %q with a description", i, k, names[i])
+		}
+		if slices.Contains(kernelAliases, k.Name) != strings.HasPrefix(k.Description, "alias of reconstruct: ") {
+			t.Errorf("registry entry %+v: only an alias's description names its target", k)
 		}
 	}
 

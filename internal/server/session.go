@@ -15,10 +15,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"sync"
 	"time"
 
 	"lightator/internal/infer"
+	"lightator/internal/kernels"
 	"lightator/internal/sensor"
 	"lightator/internal/session"
 )
@@ -70,7 +73,9 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) (int,
 	switch cfg.Kind {
 	case session.KindCompress:
 	case session.KindProcess:
-		k, ok := s.backend.KernelObjects[req.Kernel]
+		// The response echoes the name as sent; an alias runs as its
+		// kernel.
+		k, ok := s.backend.KernelObjects[kernels.Canonical(req.Kernel)]
 		if !ok {
 			return http.StatusBadRequest, apiErr(http.StatusBadRequest, CodeUnknownKernel, "unknown kernel %q (GET /v1/kernels lists the registry)", req.Kernel)
 		}
@@ -154,12 +159,25 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 	// An HTTP/1.x handler that writes while still reading needs explicit
 	// full-duplex mode — otherwise the first result write closes the
 	// request body under the frame reader.
-	if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
+	rc := http.NewResponseController(w)
+	if err := rc.EnableFullDuplex(); err != nil {
 		return http.StatusInternalServerError, wrapErr(http.StatusInternalServerError, CodeInternal, "full-duplex streaming unsupported", err)
 	}
 
 	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
+	// The reader must be gone before the handler returns: net/http reads
+	// the connection itself afterwards, and two readers on one connection
+	// panic.
+	body := &frameBody{body: r.Body, rc: rc}
+	readerDone := make(chan struct{})
+	defer func() {
+		cancel()
+		// A writer without read deadlines cannot unblock the read; the
+		// reader then ends with the body.
+		if body.stop() == nil {
+			<-readerDone
+		}
+	}()
 
 	// The reader decodes NDJSON lines into scenes. It owns readErr (a
 	// buffered channel, so the send never blocks): a malformed line or a
@@ -168,8 +186,9 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 	in := make(chan *sensor.Image)
 	readErr := make(chan error, 1)
 	go func() {
+		defer close(readerDone)
 		defer close(in)
-		sc := bufio.NewScanner(r.Body)
+		sc := bufio.NewScanner(body)
 		sc.Buffer(make([]byte, 64<<10), maxBodyBytes)
 		for sc.Scan() {
 			line := bytes.TrimSpace(sc.Bytes())
@@ -194,6 +213,7 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 			select {
 			case in <- img:
 			case <-ctx.Done():
+				putScene(img)
 				return
 			}
 		}
@@ -282,6 +302,47 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 		// emit failed: the response writer is broken (client gone).
 		return statusClientClosed, nil
 	}
+}
+
+// frameBody is the frame reader's view of a stream's request body. Once
+// stopped, every Read fails, and a Read blocked on the connection is
+// unblocked by a read deadline in the past. The deadline is set only
+// while a Read is in progress: a body that has ended has handed the
+// connection to net/http's own background read, and failing that read
+// would cancel the connection's context under every later request on it.
+type frameBody struct {
+	body    io.Reader
+	rc      *http.ResponseController
+	mu      sync.Mutex
+	reading bool
+	stopped bool
+}
+
+func (b *frameBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	if b.stopped {
+		b.mu.Unlock()
+		return 0, context.Canceled
+	}
+	b.reading = true
+	b.mu.Unlock()
+	n, err := b.body.Read(p)
+	b.mu.Lock()
+	b.reading = false
+	b.mu.Unlock()
+	return n, err
+}
+
+// stop ends the reader's access to the body. An error means a Read may
+// still be blocked.
+func (b *frameBody) stop() error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.stopped = true
+	if !b.reading {
+		return nil
+	}
+	return b.rc.SetReadDeadline(time.Now())
 }
 
 // streamFatal reports a stream-ending condition: as a plain HTTP error

@@ -292,6 +292,35 @@ func TestSessionStreamMatchesPerFrame(t *testing.T) {
 	}
 }
 
+// TestSessionKernelAlias: a process session opened under an alias echoes
+// the name it was opened with and streams reconstruct's bytes.
+func TestSessionKernelAlias(t *testing.T) {
+	acc := testAccelerator(t, lightator.Physical)
+	_, ts := testServer(t, acc, lightator.ServeOptions{Workers: 1, BatchDelay: time.Millisecond})
+	sessSeed := int64(11)
+	scenes := e2eScenes(2, 1)
+	for _, alias := range kernelAliases {
+		sr := openSession(t, ts.URL, server.SessionRequest{Kind: "process", Kernel: alias, Seed: &sessSeed})
+		if sr.Kernel != alias {
+			t.Errorf("session opened as %q echoes kernel %q", alias, sr.Kernel)
+		}
+		results, _ := streamAll(t, ts.URL, sr.ID, scenes)
+		if len(results) != len(scenes) {
+			t.Fatalf("%s: %d results, want %d", alias, len(results), len(scenes))
+		}
+		for i, rec := range results {
+			seed := lightator.DeriveSeed(sessSeed, i)
+			var ref server.ProcessResponse
+			if status, body := postJSON(t, ts.URL+"/v1/process", server.NewProcessRequest(server.EncodeImage(scenes[i]), "reconstruct", &seed), &ref); status != http.StatusOK {
+				t.Fatalf("per-frame process: %d: %s", status, body)
+			}
+			if rec.Plane == nil || rec.Plane.Pix != ref.Plane.Pix {
+				t.Fatalf("%s frame %d: streamed bytes differ from reconstruct's", alias, i)
+			}
+		}
+	}
+}
+
 // TestSessionDeltaReuseCounters: a static stream reuses compute, the
 // counters surface it through GET, DELETE, and /metrics, and noisy
 // fidelity reports delta inactive.
@@ -469,7 +498,7 @@ func TestSessionErrorShapes(t *testing.T) {
 // the seed chain at the next frame index.
 func TestSessionBusyDisconnectResume(t *testing.T) {
 	acc := testAccelerator(t, lightator.Physical)
-	_, ts := testServer(t, acc, lightator.ServeOptions{Workers: 2, BatchSize: 1, BatchDelay: time.Millisecond})
+	srv, ts := testServer(t, acc, lightator.ServeOptions{Workers: 2, BatchSize: 1, BatchDelay: time.Millisecond})
 	sessSeed := int64(777)
 	sr := openSession(t, ts.URL, server.SessionRequest{Kind: "compress", Seed: &sessSeed})
 	scenes := e2eScenes(3, 1)
@@ -492,14 +521,18 @@ func TestSessionBusyDisconnectResume(t *testing.T) {
 	}
 	assertErrShape(t, body, server.CodeSessionBusy)
 
-	// Client vanishes mid-stream. The session survives...
+	// Client vanishes mid-stream. The session survives, and settles once
+	// the aborted stream has let go of it...
 	fs.abort()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		var stats server.SessionStatsResponse
 		if status, _ := getJSON(t, ts.URL+"/v1/session/"+sr.ID, &stats); status != http.StatusOK {
 			t.Fatalf("session gone after client disconnect: %d", status)
-		} else if stats.Stats.Frames == 1 {
+		} else if !server.SessionBusy(srv, sr.ID) {
+			if stats.Stats.Frames != 1 {
+				t.Fatalf("aborted stream left %d frames, want 1", stats.Stats.Frames)
+			}
 			break
 		}
 		if time.Now().After(deadline) {

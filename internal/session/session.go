@@ -192,6 +192,13 @@ func (s *Session) Config() Config { return s.cfg }
 // DeltaEnabled reports whether temporal reuse is active.
 func (s *Session) DeltaEnabled() bool { return s.delta.enabled }
 
+// Busy reports whether a frame stream is active on the session.
+func (s *Session) Busy() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.busy
+}
+
 // Stats snapshots the session's cumulative reuse accounting.
 func (s *Session) Stats() Stats {
 	s.mu.Lock()

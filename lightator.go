@@ -516,7 +516,9 @@ func (a *Accelerator) AcquireCompressedBatch(scenes []*Image, workers int) ([]*I
 }
 
 // Kernels lists the registered compressed-domain processing kernels,
-// sorted by name; empty when compressive acquisition is disabled. See
+// sorted by name; empty when compressive acquisition is disabled. The
+// aliases reconstruct-direct and reconstruct-iter resolve to reconstruct
+// everywhere a kernel name is accepted but are not listed. See
 // docs/KERNELS.md for each operator's math.
 func (a *Accelerator) Kernels() []string {
 	if a.eng == nil {
@@ -525,16 +527,13 @@ func (a *Accelerator) Kernels() []string {
 	return a.eng.Names()
 }
 
-// KernelDescription returns the one-line summary of a registered kernel.
+// KernelDescription returns the one-line summary of a registered kernel;
+// an alias's summary names the kernel it resolves to.
 func (a *Accelerator) KernelDescription(name string) (string, error) {
 	if a.eng == nil {
 		return "", fmt.Errorf("lightator: compressed-domain kernels disabled (CAPool = 0)")
 	}
-	k, err := a.eng.Kernel(name)
-	if err != nil {
-		return "", err
-	}
-	return k.Description(), nil
+	return a.eng.Description(name)
 }
 
 // KernelSolverPasses reports an iterative kernel's realized optical-pass

@@ -2,6 +2,7 @@ package lightator
 
 import (
 	"runtime"
+	"sort"
 	"time"
 
 	"lightator/internal/kernels"
@@ -217,7 +218,8 @@ func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
 		// One capture+CA+kernel pipeline per registered kernel, each with
 		// its own micro-batcher in the serving layer. The bare operator
 		// rides along for the session layer, which runs the kernel stage
-		// itself after the temporal-delta diff.
+		// itself after the temporal-delta diff. Aliases get neither: the
+		// server resolves them to their kernel at the door.
 		for _, name := range a.Kernels() {
 			p, err := a.NewPipeline(PipelineOptions{Workers: opts.Workers, Kernel: name})
 			if err != nil {
@@ -229,6 +231,12 @@ func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
 				return nil, err
 			}
 			kernelObjs[name] = k
+		}
+		// The registry listing names everything the wire accepts,
+		// aliases included.
+		names := append(a.Kernels(), kernels.Aliases()...)
+		sort.Strings(names)
+		for _, name := range names {
 			desc, err := a.KernelDescription(name)
 			if err != nil {
 				return nil, err
