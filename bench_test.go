@@ -577,59 +577,88 @@ func BenchmarkKernelApply(b *testing.B) {
 	}
 }
 
-// BenchmarkInferApply measures one compressed-domain inference pass over
-// a 64x64 CA plane (the /v1/infer hot path, streamed im2col).
+// BenchmarkInferApply measures one compressed-domain inference pass (the
+// /v1/infer hot path, streamed im2col) over a 64x64 CA plane in Ideal
+// fidelity (<model>) and over the plane lightator-serve runs by default
+// (served/<model>: DefaultConfig's 128x128 plane, Physical fidelity,
+// DefaultConfig's seed), one worker each.
 func BenchmarkInferApply(b *testing.B) {
-	core, err := oc.NewCore(4, 4, oc.Ideal)
-	if err != nil {
-		b.Fatal(err)
-	}
-	e, err := infer.NewEngine(core, 4, 64, 64, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	plane := sensor.NewImage(64, 64, 1)
-	for i := range plane.Pix {
-		plane.Pix[i] = rng.Float64()
-	}
-	for _, name := range e.Names() {
-		m, err := e.Model(name)
+	cfg := lightator.DefaultConfig()
+	for _, c := range []struct {
+		prefix      string
+		fid         oc.Fidelity
+		poolN, h, w int
+		seed        int64
+	}{
+		{"", oc.Ideal, 4, 64, 64, 7},
+		{"served/", oc.Physical, cfg.CAPool, cfg.SensorRows / cfg.CAPool, cfg.SensorCols / cfg.CAPool, cfg.Seed},
+	} {
+		core, err := oc.NewCore(cfg.Precision.WBits, cfg.Precision.ABits, c.fid)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Apply(plane, oc.DeriveSeed(9, i), 1); err != nil {
-					b.Fatal(err)
-				}
+		e, err := infer.NewEngine(core, c.poolN, c.h, c.w, c.seed)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(8))
+		plane := sensor.NewImage(c.h, c.w, 1)
+		for i := range plane.Pix {
+			plane.Pix[i] = rng.Float64()
+		}
+		for _, name := range e.Names() {
+			m, err := e.Model(name)
+			if err != nil {
+				b.Fatal(err)
 			}
-		})
+			b.Run(c.prefix+name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := m.Apply(plane, oc.DeriveSeed(9, i), 1); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 
-// BenchmarkNewServer measures constructing a served accelerator at
-// DefaultConfig: New (sensor, CA, kernel and model programming plus the
-// built-ins' calibration) and NewServer with 2 workers (the pipelines
-// and the agreement sweep behind every model's reference_agreement) —
-// the work lightator-serve does before /readyz answers. Run with
-// -benchmem for bytes and allocations per construction.
+// BenchmarkNewServer measures the work lightator-serve does before
+// /readyz answers, at DefaultConfig, one phase per sub-benchmark: New
+// (sensor, CA, kernel and model programming plus the built-ins'
+// calibration) and NewServer with 2 workers over a fresh accelerator
+// built outside the timer (the pipelines and the agreement sweep behind
+// every model's reference_agreement). Run with -benchmem for bytes and
+// allocations per construction.
 func BenchmarkNewServer(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		acc, err := lightator.New(lightator.DefaultConfig())
-		if err != nil {
-			b.Fatal(err)
+	b.Run("New", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := lightator.New(lightator.DefaultConfig()); err != nil {
+				b.Fatal(err)
+			}
 		}
-		srv, err := acc.NewServer(lightator.ServeOptions{Workers: 2})
-		if err != nil {
-			b.Fatal(err)
+	})
+	b.Run("NewServer", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			acc, err := lightator.New(lightator.DefaultConfig())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			srv, err := acc.NewServer(lightator.ServeOptions{Workers: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			if err := srv.Drain(context.Background()); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
 		}
-		if err := srv.Drain(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
+	})
 }
 
 // BenchmarkInferReference measures the exact digital reference of each

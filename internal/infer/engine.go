@@ -47,23 +47,39 @@ func NewEngine(core *oc.Core, poolN, inH, inW int, seed int64) (*Engine, error) 
 	}
 	e := &Engine{core: core, poolN: poolN, inH: inH, inW: inW, models: make(map[string]*Model)}
 
-	mlp, err := buildDefault(core, "tiny-mlp",
+	type builtin struct {
+		name, desc string
+		net        *nn.Sequential
+		seed       int64
+	}
+	builtins := []builtin{{"tiny-mlp",
 		"2-layer MLP head over the compressed plane (dense 16 -> ReLU -> dense 10)",
-		TinyMLP(inH, inW, DefaultClasses, core.ABits), poolN, inH, inW, oc.DeriveSeed(seed, 1))
-	if err != nil {
-		return nil, err
-	}
-	if err := e.Register(mlp); err != nil {
-		return nil, err
-	}
+		TinyMLP(inH, inW, DefaultClasses, core.ABits), oc.DeriveSeed(seed, 1)}}
 	if inH%2 == 0 && inW%2 == 0 {
-		cnn, err := buildDefault(core, "tiny-cnn",
+		builtins = append(builtins, builtin{"tiny-cnn",
 			"1-conv CNN over the compressed plane (conv3x3 x6 -> ReLU -> avgpool2 -> dense 10)",
-			TinyCNN(inH, inW, DefaultClasses, core.ABits), poolN, inH, inW, oc.DeriveSeed(seed, 2))
-		if err != nil {
-			return nil, err
+			TinyCNN(inH, inW, DefaultClasses, core.ABits), oc.DeriveSeed(seed, 2)})
+	}
+	// The built-ins share nothing mutable: each has its own network and
+	// seed chain, programming is pure per matrix, and the core's health
+	// registry is locked. So they build concurrently and register in the
+	// fixed order above, and the engine is identical at any GOMAXPROCS.
+	models := make([]*Model, len(builtins))
+	errs := make([]error, len(builtins))
+	var wg sync.WaitGroup
+	for i, b := range builtins {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			models[i], errs[i] = buildDefault(core, b.name, b.desc, b.net, poolN, inH, inW, b.seed)
+		}()
+	}
+	wg.Wait()
+	for i, m := range models {
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		if err := e.Register(cnn); err != nil {
+		if err := e.Register(m); err != nil {
 			return nil, err
 		}
 	}

@@ -187,7 +187,8 @@ func Compile(core *oc.Core, name, desc string, net *nn.Sequential, inH, inW int)
 // quantizes best, with the per-row defect calibration restored on every
 // apply) and sw is restored digitally together with the input
 // activation scale sx. wData layout: [rows][cols] flattened, rows =
-// len(bias).
+// len(bias); the core programs row views of it with scale sw, so no
+// scaled copy of the weights is made.
 func buildMVMStage(core *oc.Core, layerName string, wData, bias []float64, sx float64) (stage, error) {
 	sw := 0.0
 	for _, v := range wData {
@@ -208,13 +209,10 @@ func buildMVMStage(core *oc.Core, layerName string, wData, bias []float64, sx fl
 	}
 	cols := len(wData) / rows
 	w := make([][]float64, rows)
-	for r := 0; r < rows; r++ {
-		w[r] = make([]float64, cols)
-		for c := 0; c < cols; c++ {
-			w[r][c] = wData[r*cols+c] / sw
-		}
+	for r := range w {
+		w[r] = wData[r*cols : (r+1)*cols]
 	}
-	pm, err := core.ProgramCalibrated(w)
+	pm, err := core.ProgramCalibrated(w, sw)
 	if err != nil {
 		return stage{}, fmt.Errorf("%s: %w", layerName, err)
 	}
@@ -314,11 +312,13 @@ func (m *Model) walk(plane *sensor.Image, ref bool, seed int64, workers int) ([]
 // Fig. 5 mapping: each 9-tap kernel slice occupies one arm, partial sums
 // combine in the summation tree). Patch j of the window-row-major walk
 // draws its noise from DeriveSeed(layerSeed, j), but the patch table is
-// never built: each shard unrolls one patch at a time into a
-// pooled strip buffer and runs it through a pooled Applier, so per-patch
-// work allocates nothing — one layer pass allocates only the output
-// tensor and per-shard bookkeeping. ref selects the exact digital
-// quantized path instead of the optical one.
+// never built: the layer input is quantized onto the activation grid
+// once (quantizedInput), and each shard gathers one patch at a time from
+// it into a pooled strip buffer and runs it through a pooled Applier, so
+// per-patch work allocates nothing and quantizes nothing — one layer
+// pass allocates only the output tensor and per-shard bookkeeping. ref
+// selects the exact digital quantized path instead of the optical one;
+// both read the same patches.
 func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int) (*nn.Tensor, error) {
 	c := st.conv
 	if len(x.Shape) != 4 {
@@ -335,17 +335,11 @@ func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int)
 	patchLen := c.InC * c.K * c.K
 	out := nn.NewTensor(n, c.OutC, oh, ow)
 	restore := st.sw * st.sx
-	// x/1 == x bit-for-bit, so the first-layer common case (the plane
-	// arrives in the sensor's [0,1] range, sx == 1) skips the division.
-	divSx := st.sx != 1
-	// The reference gathers from the input quantized once, padding with
-	// the grid's zero level, rather than re-quantizing every patch.
-	src, pad := x.Data, 0.0
-	if ref {
-		q := st.quantizedInput(x.Data)
-		defer oc.PutScratch(q)
-		src, pad, divSx = *q, st.core.QuantizeActivation(0), false
-	}
+	// Padding taps drive the grid's zero level, what quantizing a zero
+	// activation yields.
+	q := st.quantizedInput(x.Data)
+	defer oc.PutScratch(q)
+	src, pad := *q, st.core.QuantizeActivation(0)
 	err := oc.ShardRange(n*oh*ow, workers, func(lo, hi int) error {
 		var ap *oc.Applier
 		if !ref {
@@ -356,8 +350,10 @@ func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int)
 		y := oc.GetScratch(st.pm.Rows())
 		defer oc.PutScratch(patch)
 		defer oc.PutScratch(y)
+		// Patch j sits at batch b, output (oy, ox); the walk advances the
+		// three counters instead of dividing j per patch.
+		b, oy, ox := lo/(oh*ow), (lo/ow)%oh, lo%ow
 		for j := lo; j < hi; j++ {
-			b, oy, ox := j/(oh*ow), (j/ow)%oh, j%ow
 			i := 0
 			for ic := 0; ic < c.InC; ic++ {
 				chanBase := (b*inC + ic) * h
@@ -370,15 +366,12 @@ func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int)
 						}
 						continue
 					}
-					rowBase := (chanBase + iy) * w
+					row := src[(chanBase+iy)*w : (chanBase+iy+1)*w]
 					for kx := 0; kx < c.K; kx++ {
-						ix := ox*c.Stride + kx - c.Pad
-						if ix < 0 || ix >= w {
+						if ix := ox*c.Stride + kx - c.Pad; ix < 0 || ix >= w {
 							(*patch)[i] = pad
-						} else if v := src[rowBase+ix]; divSx {
-							(*patch)[i] = v / st.sx
 						} else {
-							(*patch)[i] = v
+							(*patch)[i] = row[ix]
 						}
 						i++
 					}
@@ -391,6 +384,11 @@ func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int)
 			for k, v := range (*y)[:c.OutC] {
 				out.Data[outBase+k*oh*ow] = v*restore + st.bias[k]
 			}
+			if ox++; ox == ow {
+				if ox, oy = 0, oy+1; oy == oh {
+					oy, b = 0, b+1
+				}
+			}
 		}
 		return nil
 	})
@@ -401,10 +399,10 @@ func (st *stage) applyConv(x *nn.Tensor, ref bool, layerSeed int64, workers int)
 }
 
 // applyDense streams each batch row through the programmed matrix; row b
-// draws its noise from DeriveSeed(layerSeed, b). Each shard normalises
-// one row at a time into a pooled buffer — same shape as applyConv's
-// strip walk. ref selects the exact digital quantized path instead of
-// the optical one.
+// draws its noise from DeriveSeed(layerSeed, b). The input is quantized
+// once (quantizedInput) and each shard hands row views of it to the
+// matrix — same shape as applyConv's strip walk. ref selects the exact
+// digital quantized path instead of the optical one.
 func (st *stage) applyDense(x *nn.Tensor, ref bool, layerSeed int64, workers int) (*nn.Tensor, error) {
 	if len(x.Shape) != 2 {
 		return nil, fmt.Errorf("infer: dense stage wants [N,D] input (flatten first), got rank %d", len(x.Shape))
@@ -416,33 +414,19 @@ func (st *stage) applyDense(x *nn.Tensor, ref bool, layerSeed int64, workers int
 	rows := st.pm.Rows()
 	out := nn.NewTensor(n, rows)
 	restore := st.sw * st.sx
-	divSx := st.sx != 1 // x/1 == x bit-for-bit, skip the division
-	src := x.Data
-	if ref {
-		q := st.quantizedInput(x.Data)
-		defer oc.PutScratch(q)
-		src, divSx = *q, false
-	}
+	q := st.quantizedInput(x.Data)
+	defer oc.PutScratch(q)
+	src := *q
 	err := oc.ShardRange(n, workers, func(lo, hi int) error {
 		var ap *oc.Applier
 		if !ref {
 			ap = st.pm.NewApplier()
 			defer ap.Release()
 		}
-		vec := oc.GetScratch(d)
 		y := oc.GetScratch(rows)
-		defer oc.PutScratch(vec)
 		defer oc.PutScratch(y)
 		for b := lo; b < hi; b++ {
-			row := src[b*d : (b+1)*d]
-			if divSx {
-				for i, v := range row {
-					(*vec)[i] = v / st.sx
-				}
-			} else {
-				copy(*vec, row)
-			}
-			if err := st.mvmInto(ap, *y, *vec, ref, oc.DeriveSeed(layerSeed, b)); err != nil {
+			if err := st.mvmInto(ap, *y, src[b*d:(b+1)*d], ref, oc.DeriveSeed(layerSeed, b)); err != nil {
 				return err
 			}
 			dst := out.Data[b*rows : (b+1)*rows]
@@ -468,31 +452,27 @@ func (m *Model) Reference(plane *sensor.Image) ([]float64, error) {
 	return m.walk(plane, true, 0, 1)
 }
 
-// quantizedInput returns a stage input as the reference reads it: every
+// quantizedInput returns a stage input as both paths drive it: every
 // activation normalised by sx and snapped to the activation grid once
-// (QuantizeActivation), in a pooled buffer the caller releases.
+// (QuantizeActivation, the grid ApplySeededInto would quantize each
+// window onto), in a pooled buffer the caller releases.
 func (st *stage) quantizedInput(data []float64) *[]float64 {
 	q := oc.GetScratch(len(data))
-	for i, v := range data {
-		if st.sx != 1 {
-			v /= st.sx
-		}
-		(*q)[i] = st.core.QuantizeActivation(v)
-	}
+	st.core.QuantizeActivationsInto(*q, data, st.sx)
 	return q
 }
 
-// mvmInto executes one normalised activation vector either through the
-// optical core (seeded, via the shard's reusable Applier) or through the
-// exact digital quantized reference (the programmed levels' grid weights
-// times the already grid-quantized activations of quantizedInput, plain
-// arithmetic; ap may be nil), writing the result into dst
+// mvmInto executes one grid-quantized activation vector (a window of
+// quantizedInput) either through the optical core (seeded, via the
+// shard's reusable Applier) or through the exact digital quantized
+// reference (the programmed levels' grid weights times the activations,
+// plain arithmetic; ap may be nil), writing the result into dst
 // (len == pm.Rows()).
-func (st *stage) mvmInto(ap *oc.Applier, dst, vec []float64, ref bool, seed int64) error {
+func (st *stage) mvmInto(ap *oc.Applier, dst, xq []float64, ref bool, seed int64) error {
 	if !ref {
-		return ap.ApplySeededInto(dst, vec, seed)
+		return ap.ApplyQuantizedInto(dst, xq, seed)
 	}
-	return st.pm.GridApplyInto(dst, vec)
+	return st.pm.GridApplyInto(dst, xq)
 }
 
 // Ops returns the modeled analog op counts of one Apply — the

@@ -53,7 +53,7 @@ func TestResidentWeightsAllocFreeBeyondStore(t *testing.T) {
 		}
 	}
 	before := liveHeap()
-	pm, err := core.ProgramCalibrated(w)
+	pm, err := core.ProgramCalibrated(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

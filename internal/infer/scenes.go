@@ -128,7 +128,8 @@ func Agreement(optical, reference [][]float64) float64 {
 //
 // The pass is an inference-mode forward in which every unfrozen ActQuant
 // first folds its input's batch maximum into its scale — the update a
-// training-mode forward makes, with nothing kept for a backward pass. A
+// training-mode forward makes, with nothing kept for a backward pass —
+// and elementwise layers run in place (nn.InplaceLayer). A
 // compiled model holds its digital layers for life, so a training
 // forward's masks and cached inputs would stay resident beside the
 // programmed weights without ever being read.
@@ -158,7 +159,14 @@ func Calibrate(net *nn.Sequential, core *oc.Core, poolN, h, w, batch int, seed i
 			}
 			aq.UpdateScale(batchMax)
 		}
-		if x, err = l.Forward(x, false); err != nil {
+		// The pass owns x, so elementwise layers transform it in place, as
+		// Model.walk does, instead of cloning the calibration batch.
+		if ip, ok := l.(nn.InplaceLayer); ok {
+			err = ip.ForwardInplace(x)
+		} else {
+			x, err = l.Forward(x, false)
+		}
+		if err != nil {
 			return fmt.Errorf("calibration forward: nn: %s forward: %w", l.Name(), err)
 		}
 	}

@@ -41,12 +41,12 @@ func (r *ReLU) Forward(x *Tensor, train bool) (*Tensor, error) {
 }
 
 // ForwardInplace implements InplaceLayer: the inference-mode rectification
-// applied directly to x.
+// applied directly to x. max(v, 0) is Forward's rule without its branch,
+// which a conv output's mixed signs mispredict half the time: negatives
+// and -0 become +0, and NaN stays NaN.
 func (r *ReLU) ForwardInplace(x *Tensor) error {
 	for i, v := range x.Data {
-		if v <= 0 {
-			x.Data[i] = 0
-		}
+		x.Data[i] = max(v, 0)
 	}
 	return nil
 }

@@ -98,29 +98,57 @@ func (c *Conv2D) Forward(x *Tensor, train bool) (*Tensor, error) {
 	}
 	wts := c.effectiveWeights()
 	y := NewTensor(n, c.OutC, oh, ow)
+	// Each output is bias plus its in-bounds taps in (ic, ky, kx) order —
+	// the At4 walk's order, so results are bit-identical to it. The walk
+	// is interchanged to run tap by tap over whole output rows read
+	// straight out of the planes: every output still accumulates in that
+	// order, but neighbouring outputs no longer wait on one another's
+	// adds.
+	k, s, hw := c.K, c.Stride, h*w
 	for b := 0; b < n; b++ {
-		for oc := 0; oc < c.OutC; oc++ {
-			bias := c.B.Data[oc]
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					sum := bias
-					for ic := 0; ic < c.InC; ic++ {
-						wBase := ((oc*c.InC + ic) * c.K) * c.K
-						for ky := 0; ky < c.K; ky++ {
-							iy := oy*c.Stride + ky - c.Pad
+		for o := 0; o < c.OutC; o++ {
+			out := y.Data[(b*c.OutC+o)*oh*ow : (b*c.OutC+o+1)*oh*ow]
+			for i := range out {
+				out[i] = c.B.Data[o]
+			}
+			for ic := 0; ic < c.InC; ic++ {
+				plane := x.Data[(b*c.InC+ic)*hw : (b*c.InC+ic+1)*hw]
+				kern := wts[(o*c.InC+ic)*k*k : (o*c.InC+ic+1)*k*k]
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						wv := kern[ky*k+kx]
+						// Output columns whose tap ix = ox*s - Pad + kx is
+						// inside [0, w).
+						oxLo := 0
+						if d := c.Pad - kx; d > 0 {
+							oxLo = (d + s - 1) / s
+						}
+						oxHi := 0
+						if d := w - 1 + c.Pad - kx; d >= 0 {
+							oxHi = min(ow, d/s+1)
+						}
+						if oxLo >= oxHi {
+							continue
+						}
+						for oy := 0; oy < oh; oy++ {
+							iy := oy*s - c.Pad + ky
 							if iy < 0 || iy >= h {
 								continue
 							}
-							for kx := 0; kx < c.K; kx++ {
-								ix := ox*c.Stride + kx - c.Pad
-								if ix < 0 || ix >= w {
-									continue
+							dst := out[oy*ow+oxLo : oy*ow+oxHi]
+							src := plane[iy*w+oxLo*s-c.Pad+kx : (iy+1)*w]
+							if s == 1 {
+								src = src[:len(dst)]
+								for i := range dst {
+									dst[i] += wv * src[i]
 								}
-								sum += wts[wBase+ky*c.K+kx] * x.At4(b, ic, iy, ix)
+							} else {
+								for i := range dst {
+									dst[i] += wv * src[i*s]
+								}
 							}
 						}
 					}
-					y.Set4(b, oc, oy, ox, sum)
 				}
 			}
 		}

@@ -130,7 +130,7 @@ func (pe *PhotonicExec) buildMVMStage(name string, wData, bias []float64, wq *We
 			m[r][i] = v
 		}
 	}
-	pm, err := core.ProgramCalibrated(m)
+	pm, err := core.ProgramCalibrated(m, 1)
 	if err != nil {
 		return pStage{}, err
 	}

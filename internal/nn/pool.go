@@ -117,18 +117,20 @@ func (a *AvgPool2D) Forward(x *Tensor, train bool) (*Tensor, error) {
 	}
 	inv := 1 / float64(a.K*a.K)
 	y := NewTensor(n, c, oh, ow)
-	for b := 0; b < n; b++ {
-		for ch := 0; ch < c; ch++ {
-			for oy := 0; oy < oh; oy++ {
-				for ox := 0; ox < ow; ox++ {
-					sum := 0.0
-					for ky := 0; ky < a.K; ky++ {
-						for kx := 0; kx < a.K; kx++ {
-							sum += x.At4(b, ch, oy*a.K+ky, ox*a.K+kx)
-						}
+	// Each window sums its rows top to bottom, each left to right — the
+	// At4 walk's order — read straight out of the channel plane.
+	for p := 0; p < n*c; p++ {
+		plane := x.Data[p*h*w : (p+1)*h*w]
+		out := y.Data[p*oh*ow : (p+1)*oh*ow]
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				sum := 0.0
+				for ky := 0; ky < a.K; ky++ {
+					for _, v := range plane[(oy*a.K+ky)*w+ox*a.K:][:a.K] {
+						sum += v
 					}
-					y.Set4(b, ch, oy, ox, sum*inv)
 				}
+				out[oy*ow+ox] = sum * inv
 			}
 		}
 	}

@@ -189,8 +189,33 @@ func (a *ActQuant) ForwardInplace(x *Tensor) error {
 	if scale <= 0 {
 		return nil
 	}
+	if a.Bits < 1 || a.Bits > 8 {
+		for i, v := range x.Data {
+			x.Data[i] = QuantizeUnsigned(v, scale, a.Bits)
+		}
+		return nil
+	}
+	// QuantizeUnsigned's Round(q·n)/n·scale, with the integer-valued
+	// Round(q·n) = k served from grid[k] = k/n·scale, the same two
+	// operations precomputed once per call, so the result is
+	// bit-identical. NaN escapes both clips and propagates, as the direct
+	// expression would.
+	n := float64(int(1)<<uint(a.Bits)) - 1
+	var grid [256]float64
+	for k := 0; k <= int(n); k++ {
+		grid[k] = float64(k) / n * scale
+	}
 	for i, v := range x.Data {
-		x.Data[i] = QuantizeUnsigned(v, scale, a.Bits)
+		q := v / scale
+		if q < 0 {
+			q = 0
+		} else if q > 1 {
+			q = 1
+		} else if q != q {
+			x.Data[i] = q
+			continue
+		}
+		x.Data[i] = grid[int(math.Round(q*n))]
 	}
 	return nil
 }

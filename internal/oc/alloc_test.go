@@ -11,7 +11,8 @@ import "testing"
 // TestApplySeededIntoAllocFree pins the headline contract of the flat
 // layout + scratch arena: a warmed-up ApplySeededInto performs zero heap
 // allocations per call, in Ideal and in PhysicalNoisy fidelity (pooled,
-// re-seeded noise sources).
+// re-seeded noise sources) — and so does the quantized-input entry,
+// Applier.ApplyQuantizedInto.
 func TestApplySeededIntoAllocFree(t *testing.T) {
 	for _, fid := range []Fidelity{Ideal, PhysicalNoisy} {
 		pm := poolTestMatrix(t, 16, 23, fid)
@@ -40,6 +41,18 @@ func TestApplySeededIntoAllocFree(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: Applier.ApplySeededInto allocates %.2f/op, want 0", fid, allocs)
+		}
+
+		xq := make([]float64, len(x))
+		pm.core.QuantizeActivationsInto(xq, x, 1)
+		allocs = testing.AllocsPerRun(100, func() {
+			i++
+			if err := ap.ApplyQuantizedInto(y, xq, DeriveSeed(1, i)); err != nil {
+				panic(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: Applier.ApplyQuantizedInto allocates %.2f/op, want 0", fid, allocs)
 		}
 	}
 }

@@ -175,9 +175,9 @@ func (a *Acquisitor) CompressSeeded(f *sensor.Frame, seed int64) (*sensor.Image,
 				}
 				q = *ap.xq
 			}
-			wseed := DeriveSeed(seed, oy*outW+ox)
-			a.pm.applyRows(q, *y, wseed, ap.ns)
-			a.pm.abftVerify(q, *y, wseed, ap.ns)
+			if err := ap.ApplyQuantizedInto(*y, q, DeriveSeed(seed, oy*outW+ox)); err != nil {
+				return nil, err
+			}
 			out.Set(oy, ox, 0, (*y)[0])
 		}
 	}

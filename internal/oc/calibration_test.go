@@ -40,7 +40,7 @@ func TestDefectCalibrationIdealZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpm, err := core.ProgramCalibrated(randWeightRows(4, 20, 3))
+	cpm, err := core.ProgramCalibrated(randWeightRows(4, 20, 3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestCalibratedApplyRestoresDefect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpm, err := core.ProgramCalibrated(randWeightRows(6, 30, 7))
+	cpm, err := core.ProgramCalibrated(randWeightRows(6, 30, 7), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCalibrationReducesWideRowError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpm, err := phys.ProgramCalibrated(w)
+	cpm, err := phys.ProgramCalibrated(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestAnalogWeightsIntoMatchesCalibratedApply(t *testing.T) {
 	for _, row := range w {
 		flat = append(flat, row...)
 	}
-	pm, err := core.ProgramCalibrated(w)
+	pm, err := core.ProgramCalibrated(w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,6 +246,14 @@ type ProgrammedMatrix struct {
 // Program quantizes and maps a weight matrix with entries in [-1, 1].
 // Rows are output neurons / filters; columns are inputs.
 func (c *Core) Program(w [][]float64) (*ProgrammedMatrix, error) {
+	return c.program(w, 1)
+}
+
+// program maps w/scale, whose entries must lie in [-1, 1], without
+// materialising the scaled matrix: mapRow divides each weight by scale
+// as it snaps it to a level, the same division a caller-side scaled copy
+// would perform (and w/1 == w bit-for-bit).
+func (c *Core) program(w [][]float64, scale float64) (*ProgrammedMatrix, error) {
 	if len(w) == 0 || len(w[0]) == 0 {
 		return nil, fmt.Errorf("oc: empty weight matrix")
 	}
@@ -264,11 +272,11 @@ func (c *Core) Program(w [][]float64) (*ProgrammedMatrix, error) {
 			return nil, fmt.Errorf("oc: ragged weight matrix at row %d", r)
 		}
 		for i, v := range row {
-			if v < -1 || v > 1 {
+			if v /= scale; v < -1 || v > 1 {
 				return nil, fmt.Errorf("oc: weight %g at (%d,%d) outside [-1,1]", v, r, i)
 			}
 		}
-		k, err := c.mapRow(pm.coeffs[r*cols:(r+1)*cols], pm.levels[r*cols:(r+1)*cols], row, 1, pm.armBounds)
+		k, err := c.mapRow(pm.coeffs[r*cols:(r+1)*cols], pm.levels[r*cols:(r+1)*cols], row, scale, pm.armBounds)
 		if err != nil {
 			return nil, err
 		}
@@ -282,16 +290,21 @@ func (c *Core) Program(w [][]float64) (*ProgrammedMatrix, error) {
 	return pm, nil
 }
 
-// ProgramCalibrated is Program for a matrix served with its per-row
-// defect calibration restored digitally: every apply returns
+// ProgramCalibrated is Program of W = w/scale for a matrix served with
+// its per-row defect calibration restored digitally: every apply returns
 // y = W*x + κ·Σxq (see DefectCalibration). This is the fidelity-true
 // path for wide programmed matrices — the systematic crosstalk loss,
 // which accumulates linearly with row width, is compensated by one
 // shared activation sum and one extra MAC per row. Noise and the
 // zero-mean crosstalk residual remain, so the optical-vs-reference gap
 // still isolates genuine analog error.
-func (c *Core) ProgramCalibrated(w [][]float64) (*ProgrammedMatrix, error) {
-	pm, err := c.Program(w)
+//
+// scale is the full-scale weight factor a caller restores digitally
+// (1 when w is already in [-1, 1]); passing it here instead of a scaled
+// copy of w keeps programming from duplicating the float matrix, and w
+// may be row views of the caller's flat weights.
+func (c *Core) ProgramCalibrated(w [][]float64, scale float64) (*ProgrammedMatrix, error) {
+	pm, err := c.program(w, scale)
 	if err != nil {
 		return nil, err
 	}
@@ -373,17 +386,38 @@ func (pm *ProgrammedMatrix) ArmCount() int {
 }
 
 // quantizeInto writes the ABits-quantized copy of an activation vector
-// into dst (len == pm.cols). The quantization grid is the same as
-// Core.QuantizeActivation, inlined with the precomputed grid table so
-// the hot loop is clip, multiply, round, load — no division. NaN inputs
-// propagate (they escape both clips), exactly as Round(NaN·n)/n would —
-// a table lookup on int(NaN) would panic instead.
+// into dst (len == pm.cols).
 func (pm *ProgrammedMatrix) quantizeInto(dst, x []float64) error {
 	if len(x) != pm.cols {
 		return fmt.Errorf("oc: input length %d, want %d", len(x), pm.cols)
 	}
-	grid := pm.core.actGrid
+	pm.core.quantize(dst, x)
+	return nil
+}
+
+// QuantizeActivationsInto writes QuantizeActivation(x[i]/scale) into
+// dst[i] for every i (len(dst) >= len(x); dst may be x): the drive levels
+// of a whole layer input normalised by its activation scale, quantized
+// once. scale 1 skips the division (x/1 == x bit-for-bit).
+func (c *Core) QuantizeActivationsInto(dst, x []float64, scale float64) {
+	if scale != 1 {
+		for i, v := range x {
+			dst[i] = v / scale
+		}
+		x = dst[:len(x)]
+	}
+	c.quantize(dst, x)
+}
+
+// quantize is the bulk QuantizeActivation: the same grid, inlined with
+// the precomputed grid table so the hot loop is clip, multiply, round,
+// load — no division. NaN inputs propagate (they escape both clips),
+// exactly as Round(NaN·n)/n would — a table lookup on int(NaN) would
+// panic instead.
+func (c *Core) quantize(dst, x []float64) {
+	grid := c.actGrid
 	n := float64(len(grid) - 1)
+	dst = dst[:len(x)]
 	for i, v := range x {
 		if v < 0 {
 			v = 0
@@ -395,7 +429,6 @@ func (pm *ProgrammedMatrix) quantizeInto(dst, x []float64) error {
 		}
 		dst[i] = grid[int(math.Round(v*n))]
 	}
-	return nil
 }
 
 // applyRow computes one output row from quantized activations: a linear
@@ -403,12 +436,12 @@ func (pm *ProgrammedMatrix) quantizeInto(dst, x []float64) error {
 // supplies per-arm BPD noise; each arm draws exactly one sample in segment
 // order, so a given noise source yields a reproducible row.
 func (pm *ProgrammedMatrix) applyRow(xq []float64, r int, ns *photonics.NoiseSource) float64 {
-	base := r * pm.cols
+	coeffs := pm.coeffs[r*pm.cols : (r+1)*pm.cols]
 	if len(pm.armBounds) == 2 {
 		// Single-arm rows (<= 9 taps — every CA bank and most kernel
 		// operators): skip the segment walk entirely.
 		partial := 0.0
-		for i, cf := range pm.coeffs[base : base+pm.cols] {
+		for i, cf := range coeffs {
 			partial += cf * xq[i]
 		}
 		if ns != nil {
@@ -420,10 +453,28 @@ func (pm *ProgrammedMatrix) applyRow(xq []float64, r int, ns *photonics.NoiseSou
 	for s := 0; s+1 < len(pm.armBounds); s++ {
 		lo, hi := pm.armBounds[s], pm.armBounds[s+1]
 		partial := 0.0
-		coeffs := pm.coeffs[base+lo : base+hi]
-		seg := xq[lo:hi:hi]
-		for i, cf := range coeffs {
-			partial += cf * seg[i]
+		if hi-lo == mapping.MRsPerArm {
+			// A full arm of a wide row is unrolled. Looping over so few
+			// taps thousands of times per row, the loop's own overhead
+			// and where its code happens to land (a loop straddling a
+			// 64-byte boundary runs measurably slower) would set the
+			// speed instead of the multiply-add chain. The adds keep the
+			// loop's left-to-right order, so the result is bit-identical.
+			c := (*[mapping.MRsPerArm]float64)(coeffs[lo:hi])
+			x := (*[mapping.MRsPerArm]float64)(xq[lo:hi])
+			partial += c[0] * x[0]
+			partial += c[1] * x[1]
+			partial += c[2] * x[2]
+			partial += c[3] * x[3]
+			partial += c[4] * x[4]
+			partial += c[5] * x[5]
+			partial += c[6] * x[6]
+			partial += c[7] * x[7]
+			partial += c[8] * x[8]
+		} else {
+			for i, cf := range coeffs[lo:hi] {
+				partial += cf * xq[lo+i]
+			}
 		}
 		if ns != nil {
 			partial += ns.Gaussian(0, pm.core.noiseSigma)
@@ -544,13 +595,27 @@ func (ap *Applier) Release() {
 // the rows, ABFT verifies them (abft.go), and a matrix programmed with
 // ProgramCalibrated finally gets its defect calibration restored.
 func (ap *Applier) ApplySeededInto(dst, x []float64, seed int64) error {
+	xq := *ap.xq
+	if err := ap.pm.quantizeInto(xq, x); err != nil {
+		return err
+	}
+	return ap.ApplyQuantizedInto(dst, xq, seed)
+}
+
+// ApplyQuantizedInto is ApplySeededInto for drive levels the caller has
+// already put on the activation grid: every xq[i] must be a value
+// Core.QuantizeActivation returns (len == Cols). It is the body
+// ApplySeededInto runs after quantizing, so a caller that quantizes a
+// whole layer input once and gathers overlapping windows from it (the
+// infer im2col stream) gets the same bytes without re-quantizing every
+// window. xq is only read.
+func (ap *Applier) ApplyQuantizedInto(dst, xq []float64, seed int64) error {
 	pm := ap.pm
 	if len(dst) != pm.rows {
 		return fmt.Errorf("oc: destination length %d, want %d rows", len(dst), pm.rows)
 	}
-	xq := *ap.xq
-	if err := pm.quantizeInto(xq, x); err != nil {
-		return err
+	if len(xq) != pm.cols {
+		return fmt.Errorf("oc: input length %d, want %d", len(xq), pm.cols)
 	}
 	pm.applyRows(xq, dst, seed, ap.ns)
 	pm.abftVerify(xq, dst, seed, ap.ns)

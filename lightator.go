@@ -536,29 +536,6 @@ func (a *Accelerator) KernelDescription(name string) (string, error) {
 	return a.eng.Description(name)
 }
 
-// KernelSolverPasses reports an iterative kernel's realized optical-pass
-// totals: how many forward/adjoint passes all its Apply calls so far
-// have executed, over how many compressed samples. ok is false for
-// non-iterative kernels (single-pass windowed operators have nothing to
-// meter). passes/samples is the realized average pass count — the number
-// that makes reconstruct-cg's adaptive stopping observable (lightator-
-// bench reports it per kernel).
-func (a *Accelerator) KernelSolverPasses(name string) (passes, samples uint64, ok bool, err error) {
-	if a.eng == nil {
-		return 0, 0, false, fmt.Errorf("lightator: compressed-domain kernels disabled (CAPool = 0)")
-	}
-	k, err := a.eng.Kernel(name)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	stats, ok := k.(kernels.SolverStats)
-	if !ok {
-		return 0, 0, false, nil
-	}
-	passes, samples = stats.PassTotals()
-	return passes, samples, true, nil
-}
-
 // kernelPipeline returns the cached single-kernel pipeline behind
 // ProcessCompressed, building it on first use.
 func (a *Accelerator) kernelPipeline(kernel string) (*Pipeline, error) {
