@@ -116,3 +116,33 @@ func TestNewEngineDeterministicAcrossProcs(t *testing.T) {
 		t.Errorf("health components %v, want %v", labels, want)
 	}
 }
+
+// TestBuiltinsHoldNoGradients: the built-ins never train, so every
+// parameter a compiled built-in still references (the conv layer its
+// conv stage reads geometry from, and any digital layer's) has a nil
+// gradient buffer rather than one as large as its weights.
+func TestBuiltinsHoldNoGradients(t *testing.T) {
+	_, eng := buildAt(t, 2, nil)
+	seen := 0
+	for _, name := range eng.Names() {
+		m, _ := eng.Model(name)
+		for i, st := range m.stages {
+			var params []*nn.Param
+			if st.layer != nil {
+				params = append(params, st.layer.Params()...)
+			}
+			if st.conv != nil {
+				params = append(params, st.conv.Params()...)
+			}
+			for _, p := range params {
+				seen++
+				if p.Grad != nil {
+					t.Errorf("%s stage %d: parameter %s holds a %d-element gradient", name, i, p.Name, len(p.Grad))
+				}
+			}
+		}
+	}
+	if seen == 0 {
+		t.Fatal("no compiled built-in references a parameter; the test checks nothing")
+	}
+}

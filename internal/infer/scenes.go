@@ -17,8 +17,9 @@ import (
 // the serving-time agreement report and ActQuant calibration all draw
 // from this generator so they measure the same input statistics.
 //
-// Only the disks' geometry is drawn up front; Scene renders one frame on
-// demand, so a sweep keeps one full-resolution scene live at a time.
+// Only the disks' geometry is drawn up front; SceneInto renders one
+// frame on demand into a caller's buffer, so a sweep holds exactly the
+// scene buffers it reuses: one per sweep worker, one per calibration.
 type Disks struct {
 	rows, cols int
 	disks      []disk
@@ -42,22 +43,29 @@ func NewDisks(n, rows, cols int, seed int64) *Disks {
 
 // Scene renders scene i into a fresh image.
 func (d *Disks) Scene(i int) *sensor.Image {
-	k := d.disks[i]
 	s := sensor.NewImage(d.rows, d.cols, 3)
-	for j := range s.Pix {
-		s.Pix[j] = 0.1
+	d.SceneInto(s, i)
+	return s
+}
+
+// SceneInto renders scene i in place into dst, which must be a rows x
+// cols RGB image; it writes every sample (background included), so
+// whatever dst held before never shows through.
+func (d *Disks) SceneInto(dst *sensor.Image, i int) {
+	k := d.disks[i]
+	for j := range dst.Pix {
+		dst.Pix[j] = 0.1
 	}
 	for y := 0; y < d.rows; y++ {
 		for x := 0; x < d.cols; x++ {
 			dy, dx := float64(y)-k.cy, float64(x)-k.cx
 			if dy*dy+dx*dx < k.r*k.r {
 				for c := 0; c < 3; c++ {
-					s.Pix[(y*d.cols+x)*3+c] = 0.9
+					dst.Pix[(y*d.cols+x)*3+c] = 0.9
 				}
 			}
 		}
 	}
-	return s
 }
 
 // DiskScenes renders every scene of NewDisks(n, rows, cols, seed).
@@ -71,11 +79,11 @@ func DiskScenes(n, rows, cols int, seed int64) []*sensor.Image {
 }
 
 // CalibrationPlanes produces batch fidelity-true compressed planes of
-// h x w: Disks scenes, rendered one at a time, captured by the ADC-less
-// sensor and compressed by the CA on core — exactly the measurement
-// statistics the serving path feeds a model, unlike synthetic uniform
-// noise (which concentrates around the window mean and under-ranges
-// every activation scale).
+// h x w: Disks scenes, rendered one at a time into one reused buffer,
+// captured by the ADC-less sensor and compressed by the CA on core —
+// exactly the measurement statistics the serving path feeds a model,
+// unlike synthetic uniform noise (which concentrates around the window
+// mean and under-ranges every activation scale).
 func CalibrationPlanes(core *oc.Core, poolN, h, w, batch int, seed int64) ([]*sensor.Image, error) {
 	arr, err := sensor.NewArray(h*poolN, w*poolN)
 	if err != nil {
@@ -86,9 +94,13 @@ func CalibrationPlanes(core *oc.Core, poolN, h, w, batch int, seed int64) ([]*se
 		return nil, fmt.Errorf("infer: calibration CA: %w", err)
 	}
 	scenes := NewDisks(batch, h*poolN, w*poolN, seed)
+	// Capture reads the scene whole into the sensor's latch, so one buffer
+	// serves every scene of the batch.
+	scene := sensor.NewImage(h*poolN, w*poolN, 3)
 	planes := make([]*sensor.Image, batch)
 	for i := range planes {
-		frame, err := arr.Capture(scenes.Scene(i))
+		scenes.SceneInto(scene, i)
+		frame, err := arr.Capture(scene)
 		if err != nil {
 			return nil, fmt.Errorf("infer: calibration capture: %w", err)
 		}

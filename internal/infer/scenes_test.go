@@ -1,10 +1,12 @@
 package infer
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"lightator/internal/oc"
+	"lightator/internal/sensor"
 )
 
 // TestAgreement pins the metric's contract: empty or mismatched sweeps
@@ -170,5 +172,34 @@ func TestCalibrationPlanes(t *testing.T) {
 	}
 	if identical {
 		t.Fatal("consecutive calibration planes are identical — scenes not jittering")
+	}
+}
+
+// TestSceneIntoReusesBuffers: SceneInto rewrites every sample, so a
+// buffer full of NaN, or still holding another scene, ends bit-equal to
+// the freshly allocated Scene(i), at several seeds and sizes.
+func TestSceneIntoReusesBuffers(t *testing.T) {
+	for _, seed := range []int64{1, 42, 0x5eed} {
+		for _, dims := range [][2]int{{16, 16}, {5, 9}, {32, 24}} {
+			const n = 4
+			d := NewDisks(n, dims[0], dims[1], seed)
+			nan := sensor.NewImage(dims[0], dims[1], 3)
+			prev := d.Scene(n - 1)
+			for i := 0; i < n; i++ {
+				for j := range nan.Pix {
+					nan.Pix[j] = math.NaN()
+				}
+				d.SceneInto(nan, i)
+				d.SceneInto(prev, i)
+				want := d.Scene(i)
+				for j, v := range want.Pix {
+					if math.Float64bits(nan.Pix[j]) != math.Float64bits(v) || math.Float64bits(prev.Pix[j]) != math.Float64bits(v) {
+						t.Fatalf("seed %d %dx%d scene %d sample %d: into NaN %v, into previous %v, Scene %v",
+							seed, dims[0], dims[1], i, j, nan.Pix[j], prev.Pix[j], v)
+					}
+				}
+				// prev now holds scene i, the next scene's previous one.
+			}
+		}
 	}
 }

@@ -182,9 +182,9 @@ func TestStreamedKeyMatchesHashRequest(t *testing.T) {
 		{"infer-scene", "/v1/infer", "infer-scene", mustJSON(InferRequest{Scene: &scene, Model: "tiny-cnn"})},
 		{"infer-plane", "/v1/infer", "infer-plane", mustJSON(InferRequest{Plane: &plane, Model: "tiny-cnn"})},
 	} {
-		// A space before the value's colon sends the body down the
-		// strict path.
-		strict := bytes.Replace(tc.body, []byte(`"pix_b64":`), []byte(`"pix_b64" :`), 1)
+		// An escaped spelling of the key sends the body down the strict
+		// path.
+		strict := bytes.Replace(tc.body, []byte(`"pix_b64":`), []byte(`"pix\u005fb64":`), 1)
 		for path, body := range map[string][]byte{"fast": tc.body, "strict": strict} {
 			t.Run(tc.name+"/"+path, func(t *testing.T) {
 				op, in := resolve(tc.endpoint, body)

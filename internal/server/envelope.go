@@ -31,8 +31,8 @@ import (
 	"lightator/internal/sensor"
 )
 
-// pixKey opens the one JSON string the fast path cuts out.
-const pixKey = `"pix_b64":"`
+// pixKey is the key of the one JSON string the fast path cuts out.
+const pixKey = `"pix_b64"`
 
 // sentinel stands in for the cut value in the remainder. It decodes to
 // "\x00", which no body can spell without a backslash or a raw control
@@ -174,7 +174,8 @@ func decodeStrict(data []byte, v any) error {
 }
 
 // cutPixels is the fast path. It applies when v carries wire images and
-//   - the exact key "pix_b64":" occurs, and an ASCII case-folded
+//   - the exact key "pix_b64" occurs and its first occurrence opens a
+//     string value (valueStart), and an ASCII case-folded
 //     pix_b64" occurs exactly once in the remainder, so no other key can
 //     map to the field (the value holds no quote, so it holds neither);
 //   - the value is printable ASCII without a backslash, so as a JSON
@@ -191,11 +192,10 @@ func cutPixels[T any](data []byte, v *T) (in ingest, ok bool) {
 	if !ok {
 		return ingest{}, false
 	}
-	k := bytes.Index(data, []byte(pixKey))
-	if k < 0 {
+	start, ok := valueStart(data)
+	if !ok {
 		return ingest{}, false
 	}
-	start := k + len(pixKey)
 	n := bytes.IndexByte(data[start:], '"')
 	if n < 0 {
 		return ingest{}, false
@@ -228,6 +228,37 @@ func cutPixels[T any](data []byte, v *T) (in ingest, ok bool) {
 	in.at.Pix = ""
 	in.cut = value
 	return in, true
+}
+
+// valueStart returns the offset just past the quote that opens the value
+// of the first "pix_b64" in data: the key, JSON whitespace, the colon,
+// whitespace, then the quote, as encoders spell it with or without
+// spacing (Python's json.dumps writes "pix_b64": "). ok is false when the
+// first "pix_b64" is not so followed. The bytes up to the value are the
+// remainder's head, which cutPixels proves decodes as in the whole body.
+func valueStart(data []byte) (int, bool) {
+	k := bytes.Index(data, []byte(pixKey))
+	if k < 0 {
+		return 0, false
+	}
+	i := skipSpace(data, k+len(pixKey))
+	if i == len(data) || data[i] != ':' {
+		return 0, false
+	}
+	i = skipSpace(data, i+1)
+	if i == len(data) || data[i] != '"' {
+		return 0, false
+	}
+	return i + 1, true
+}
+
+// skipSpace returns the offset of the first byte at or after i that is
+// not JSON whitespace (space, tab, CR, LF).
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\r' || b[i] == '\n') {
+		i++
+	}
+	return i
 }
 
 // plainASCII reports whether every byte of b is at least lo, below 0x80

@@ -180,7 +180,14 @@ var envelopeCases = []struct {
 	{"long-s field beside key", `{"` + "ſ" + `cene":{"h":1,"w":1,"c":1,"pix_b64":"AAAAAAAA8D8="}}`, false},
 	{"non-ASCII value", `{"scene":{"h":1,"w":1,"c":1,"pix_b64":"AAAAAAAA8D8` + "é" + `"}}`, false},
 	{"control byte in value", "{\"scene\":{\"h\":1,\"w\":1,\"c\":1,\"pix_b64\":\"AAAAAAAA\n8D8=\"}}", false},
-	{"spaced colon", `{"scene":{"h":1,"w":1,"c":1,"pix_b64" : "AAAAAAAA8D8="}}`, false},
+	{"spaced colon", `{"scene":{"h":1,"w":1,"c":1,"pix_b64" : "AAAAAAAA8D8="}}`, true},
+	{"space after colon", `{"scene": {"h": 1, "w": 1, "c": 1, "pix_b64": "AAAAAAAA8D8="}}`, true},
+	{"tab, CR and LF around colon", "{\"scene\":{\"h\":1,\"w\":1,\"c\":1,\"pix_b64\"\t\r\n:\n\t \"AAAAAAAA8D8=\"}}", true},
+	{"space before key", `{"scene":{"h":1,"w":1,"c":1, "pix_b64":"AAAAAAAA8D8="}}`, true},
+	{"no colon", `{"scene":{"h":1,"w":1,"c":1,"pix_b64" "AAAAAAAA8D8="}}`, false},
+	{"double colon", `{"scene":{"h":1,"w":1,"c":1,"pix_b64": :"AAAAAAAA8D8="}}`, false},
+	{"non-JSON space around colon", "{\"scene\":{\"h\":1,\"w\":1,\"c\":1,\"pix_b64\"\v:\f\"AAAAAAAA8D8=\"}}", false},
+	{"number value", `{"scene":{"h":1,"w":1,"c":1,"pix_b64": 7}}`, false},
 	{"key as a value", `{"kernel":"pix_b64":"AAAA"}`, false},
 	{"unknown field", `{"scene":{"h":1,"w":1,"c":1,"pix_b64":"AAAAAAAA8D8="},"extra":1}`, false},
 	{"unterminated value", `{"scene":{"h":1,"w":1,"c":1,"pix_b64":"AAAA`, false},
@@ -223,14 +230,27 @@ func TestEnvelopeFastPath(t *testing.T) {
 			t.Errorf("%s: fast path not taken", name)
 		}
 	}
-	// Full 16x16 bodies, one per kernel: unit cases rather than fuzz
-	// seeds, since bodies this large slow the fuzzer's mutation loop to a
-	// few execs a second.
+	// Full 16x16 bodies, one per kernel, compact and spaced as Python's
+	// json.dumps writes them: unit cases rather than fuzz seeds, since
+	// bodies this large slow the fuzzer's mutation loop to a few execs a
+	// second.
 	for _, kernel := range []string{"reconstruct", "reconstruct-direct", "reconstruct-cg", "edge"} {
-		if !sameDecode[ProcessRequest](t, processBody(t, 16, 16, kernel)) {
+		body := processBody(t, 16, 16, kernel)
+		if !sameDecode[ProcessRequest](t, body) {
 			t.Errorf("16x16 %s body: fast path not taken", kernel)
 		}
+		if !sameDecode[ProcessRequest](t, spaced(body)) {
+			t.Errorf("16x16 %s body spaced as json.dumps writes it: fast path not taken", kernel)
+		}
 	}
+}
+
+// spaced re-spaces a compact JSON body the way Python's json.dumps does
+// by default: a space after every colon and comma between tokens. The
+// bodies it is given hold no colon or comma inside a string.
+func spaced(body []byte) []byte {
+	s := strings.ReplaceAll(string(body), `":`, `": `)
+	return []byte(strings.ReplaceAll(s, `,"`, `, "`))
 }
 
 // TestEnvelopeStrides holds the fast path's stride-wise decode against
@@ -335,7 +355,13 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	for _, kernel := range []string{"reconstruct", "reconstruct-direct", "reconstruct-cg", "edge"} {
 		f.Add(processBody(f, 2, 2, kernel))
 	}
+	// Whitespace around the pix_b64 colon, as json.dumps and indenting
+	// encoders write it.
+	f.Add(spaced(processBody(f, 2, 2, "edge")))
+	f.Add(spaced(processBody(f, 1, 2, "reconstruct")))
 	for _, body := range []string{
+		`{"scene":{"h":1,"w":1,"c":1,"pix_b64"` + "\t\r\n:\n " + `"AAAAAAAA8D8="},"kernel":"edge"}`,
+		`{"plane": {"h": 1, "w": 1, "c": 1, "pix_b64" :"AAAAAAAA8D8="}, "model": "tiny-cnn"}`,
 		`{`,
 		`{"scene":{"h":1,"w":1,"c":1,"pix_b64":"zzz"},"kernel":"edge"}`,
 		`{"scene":{"h":-4,"w":70000,"c":3,"pix_b64":""},"kernel":"reconstruct"}`,

@@ -775,8 +775,11 @@ func (a *Accelerator) ModelAgreement(model string, frames int) (float64, error) 
 // model's optical path under the seed a capture+CA+infer pipeline gives
 // frame i, and through its digital reference. Each frame is captured and
 // compressed once however many models share the sweep, and only
-// per-model agree counts are kept, so a handful of scenes and planes are
-// live at a time rather than the whole sweep.
+// per-model agree counts are kept. Scenes are rendered into a ring of one
+// buffer per worker, and a buffer returns to the ring as soon as its
+// frame's result arrives (capture has read it by then), so the sweep
+// holds one full-resolution scene per worker and a handful of planes,
+// whatever its length.
 func (a *Accelerator) agreements(models []string, frames int) ([]float64, error) {
 	if a.inf == nil {
 		return nil, fmt.Errorf("lightator: compressed-domain inference disabled (CAPool = 0)")
@@ -799,10 +802,20 @@ func (a *Accelerator) agreements(models []string, frames int) ([]float64, error)
 		return nil, err
 	}
 	disks := infer.NewDisks(frames, a.cfg.SensorRows, a.cfg.SensorCols, a.cfg.Seed)
+	ring := make(chan *Image, min(workers, frames))
+	for range cap(ring) {
+		ring <- sensor.NewImage(a.cfg.SensorRows, a.cfg.SensorCols, 3)
+	}
+	// held[i] is frame i's ring buffer; the producer writes it before the
+	// frame enters the pipeline and a worker reads it once the frame's
+	// result is out, so the channels order the two.
+	held := make([]*Image, frames)
 	scenes := make(chan *Image)
 	go func() {
 		for i := 0; i < frames; i++ {
-			scenes <- disks.Scene(i)
+			held[i] = <-ring
+			disks.SceneInto(held[i], i)
+			scenes <- held[i]
 		}
 		close(scenes)
 	}()
@@ -822,6 +835,7 @@ func (a *Accelerator) agreements(models []string, frames int) ([]float64, error)
 			// Drain every result, even after an error, so the pipeline's
 			// workers are released.
 			for r := range results {
+				ring <- held[r.Index]
 				if err == nil {
 					err = a.agreeFrame(ms, r, local)
 				}
