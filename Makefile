@@ -29,7 +29,8 @@ alloc:
 	$(GO) test -count=1 -run 'AllocFree|ZeroAlloc' ./...
 
 # Coverage-guided fuzz smoke over the wire codecs, the /v1/process,
-# /v1/infer and /v1/matvec handlers, the envelope decoder (fast path against strict JSON) and the
+# /v1/infer and /v1/matvec handlers, the envelope decoder (fast path against strict JSON,
+# whole and split into reads at any offsets) and the
 # session NDJSON stream (seed corpora in internal/server/testdata/fuzz). Each
 # target needs its own invocation: -fuzz accepts exactly one match.
 FUZZTIME ?= 10s
@@ -40,6 +41,7 @@ fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzInferRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzMatVecRequest$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEnvelopeDecode$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEnvelopeStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSessionFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)
 

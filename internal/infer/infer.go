@@ -258,6 +258,9 @@ func (m *Model) checkPlane(plane *sensor.Image) error {
 	if plane.H != m.inH || plane.W != m.inW {
 		return fmt.Errorf("infer: %s: input plane %dx%d, model compiled for %dx%d", m.name, plane.H, plane.W, m.inH, m.inW)
 	}
+	if len(plane.Pix) != plane.H*plane.W {
+		return fmt.Errorf("infer: %s: input plane %dx%d holds %d samples", m.name, plane.H, plane.W, len(plane.Pix))
+	}
 	return nil
 }
 
@@ -277,8 +280,13 @@ func (m *Model) walk(plane *sensor.Image, ref bool, seed int64, workers int) ([]
 	if err := m.checkPlane(plane); err != nil {
 		return nil, err
 	}
-	x := nn.NewTensor(1, 1, m.inH, m.inW)
-	copy(x.Data, plane.Pix)
+	// The walk starts on the caller's samples. Optical stages and the
+	// other digital layers only read their input (Flatten passes a view
+	// of it on), so the plane is copied only when an elementwise layer
+	// would transform it in place before any stage has made a tensor of
+	// the walk's own.
+	x := &nn.Tensor{Shape: []int{1, 1, m.inH, m.inW}, Data: plane.Pix}
+	owned := false
 	var err error
 	for i := range m.stages {
 		st := &m.stages[i]
@@ -289,6 +297,9 @@ func (m *Model) walk(plane *sensor.Image, ref bool, seed int64, workers int) ([]
 			// layers may transform in place instead of cloning a full
 			// activation map per layer per frame.
 			if ip, ok := st.layer.(nn.InplaceLayer); ok {
+				if !owned {
+					x, owned = x.Clone(), true
+				}
 				err = ip.ForwardInplace(x)
 			} else {
 				x, err = st.layer.Forward(x, false)
@@ -298,8 +309,10 @@ func (m *Model) walk(plane *sensor.Image, ref bool, seed int64, workers int) ([]
 			}
 		case stageConv:
 			x, err = st.applyConv(x, ref, layerSeed, workers)
+			owned = true
 		case stageDense:
 			x, err = st.applyDense(x, ref, layerSeed, workers)
+			owned = true
 		}
 		if err != nil {
 			return nil, err

@@ -330,6 +330,9 @@ func TestApplyInputGuards(t *testing.T) {
 	if _, err := m.Apply(sensor.NewImage(4, 4, 1), 0, 1); err == nil {
 		t.Error("wrong-size plane accepted")
 	}
+	if _, err := m.Apply(&sensor.Image{H: 8, W: 8, C: 1, Pix: make([]float64, 63)}, 0, 1); err == nil {
+		t.Error("plane with fewer samples than its dims accepted")
+	}
 	if h, w := m.InputDims(); h != 8 || w != 8 {
 		t.Errorf("model dims %dx%d, want 8x8", h, w)
 	}
@@ -341,5 +344,64 @@ func TestApplyInputGuards(t *testing.T) {
 	}
 	if Argmax([]float64{0.1, 3, -2}) != 1 {
 		t.Error("Argmax picked the wrong class")
+	}
+}
+
+// TestWalkLeavesPlaneUnmodified: the stage walk reads the caller's plane
+// in place, so a registered model whose first layers transform their
+// input in place (ReLU first, and again behind Flatten's view) must
+// leave the plane as it was, on the optical and the reference path, and
+// give the logits it gives on a copy of the plane.
+func TestWalkLeavesPlaneUnmodified(t *testing.T) {
+	core, eng := newTestEngine(t, oc.Ideal, 2, 8, 8)
+	net := nn.NewSequential(
+		nn.NewReLU("relu0"),
+		nn.NewFlatten("flatten"),
+		nn.NewReLU("relu1"),
+		nn.NewDense("fc1", 8*8, DefaultClasses),
+	)
+	net.InitHe(3)
+	if err := Calibrate(net, core, 2, 8, 8, 2, 3); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Compile(core, "relu-first", "", net, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Register(m); err != nil {
+		t.Fatal(err)
+	}
+	if m, err = eng.Model("relu-first"); err != nil {
+		t.Fatal(err)
+	}
+	plane := testPlane(5, 8, 8)
+	for i := range plane.Pix {
+		plane.Pix[i] -= 0.5 // half the samples negative: ReLU changes them
+	}
+	orig := append([]float64(nil), plane.Pix...)
+	for name, run := range map[string]func(*sensor.Image) ([]float64, error){
+		"apply":     func(p *sensor.Image) ([]float64, error) { return m.Apply(p, 7, 2) },
+		"reference": m.Reference,
+	} {
+		got, err := run(plane)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range plane.Pix {
+			if math.Float64bits(v) != math.Float64bits(orig[i]) {
+				t.Fatalf("%s: sample %d of the caller's plane changed from %v to %v", name, i, orig[i], v)
+			}
+		}
+		cp := sensor.NewImage(8, 8, 1)
+		copy(cp.Pix, orig)
+		want, err := run(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: logit %d is %v on the plane, %v on a copy", name, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -121,7 +121,7 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 
 // scene decodes op's input image from in and, when keyed, its cache key:
 // hashRequest(op.tag, 0, op.parts..., sample bytes, dims), with the
-// sample bytes streamed into the hash as the scene decodes.
+// sample bytes written into the hash from the decoded scene, never held.
 func (op *frameOp) scene(in *ingest, keyed bool) (*sensor.Image, cacheKey, error) {
 	var h hash.Hash
 	if keyed {

@@ -19,8 +19,15 @@ import (
 // handleFrame does, returning the scene to its pool.
 func ingestProcessBody(t *testing.T, req *http.Request, body []byte) {
 	t.Helper()
-	req.Body = io.NopCloser(bytes.NewReader(body))
-	req.ContentLength = int64(len(body))
+	ingestProcess(t, req, bytes.NewReader(body), len(body))
+}
+
+// ingestProcess is ingestProcessBody for a body of n bytes that body
+// delivers.
+func ingestProcess(t *testing.T, req *http.Request, body io.Reader, n int) {
+	t.Helper()
+	req.Body = io.NopCloser(body)
+	req.ContentLength = int64(n)
 	var pr ProcessRequest
 	in, err := readEnvelope(req, &pr)
 	if err != nil {
@@ -107,5 +114,24 @@ func TestSceneIngestAllocFreeOfRawSamples(t *testing.T) {
 	t.Logf("cold ingest allocated %d bytes: body read %d, scene %d", ingest, read, scene)
 	if ingest > read+scene+slack {
 		t.Fatalf("cold ingest allocated %d bytes, want <= %d (body read) + %d (scene) + %d", ingest, read, scene, slack)
+	}
+}
+
+// TestSceneIngestAllocFreeOfBody pins the streamed ingest: with the
+// pools drained, one fast-path ingest of a 256×256×3 /v1/process body
+// arriving in 32 KiB reads allocates at most the scene plus 64 KiB. The
+// ~2 MB body is never held: its pix_b64 value decodes into the scene as
+// it arrives, and the declared length sizes the scene once.
+func TestSceneIngestAllocFreeOfBody(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	body := processBody(t, 256, 256, "edge")
+	r := httptest.NewRequest("POST", "/v1/process", nil)
+	src := &chunkReader{b: body, n: 32 << 10}
+	drainPools()
+	got := allocated(func() { ingestProcess(t, r, src, len(body)) })
+	const scene, slack = 8 * 256 * 256 * 3, 64 << 10
+	t.Logf("cold ingest of a %d-byte body allocated %d bytes (scene %d)", len(body), got, scene)
+	if got > scene+slack {
+		t.Fatalf("cold ingest allocated %d bytes, want <= %d (scene) + %d", got, scene, slack)
 	}
 }

@@ -7,7 +7,9 @@ import (
 	"bytes"
 	"encoding/base64"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http/httptest"
@@ -15,8 +17,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"lightator/internal/sensor"
 )
@@ -42,13 +46,21 @@ func processBody(tb testing.TB, h, w int, kernel string) []byte {
 }
 
 // sameDecode decodes body as a T on the fast path and strictly, and
-// fails unless both give the same value (the cut value restored into its
-// Pix) and, image by image, what sameScene compares, or the same error.
+// fails unless both give the same value (the streamed image's Pix taken
+// from the strict side, once sameScene has compared what each decodes
+// to) and, image by image, what sameScene compares, or the same error.
 // It reports whether the fast path ran.
 func sameDecode[T any](t *testing.T, body []byte) bool {
 	t.Helper()
+	return sameStream[T](t, body, bytes.NewReader(body), int64(len(body)))
+}
+
+// sameStream is sameDecode for body arriving through r, which declares
+// hint bytes (-1 for none).
+func sameStream[T any](t *testing.T, body []byte, r io.Reader, hint int64) bool {
+	t.Helper()
 	var fast, strict T
-	in, ferr := decodeEnvelope(body, &fast)
+	in, ferr := decodeStream(r, hint, &fast)
 	defer in.release()
 	serr := decodeStrict(body, &strict)
 	if (ferr == nil) != (serr == nil) || (ferr != nil && ferr.Error() != serr.Error()) {
@@ -57,8 +69,7 @@ func sameDecode[T any](t *testing.T, body []byte) bool {
 	if ferr != nil {
 		return false
 	}
-	// scene consumes the cut value, so keep it to restore into Pix.
-	fastPath, cut := in.at != nil, string(in.cut)
+	fastPath := in.at != nil
 	fimgs := any(&fast).(imageCarrier).wireImages()
 	simgs := any(&strict).(imageCarrier).wireImages()
 	for i, f := range fimgs {
@@ -71,7 +82,7 @@ func sameDecode[T any](t *testing.T, body []byte) bool {
 		}
 		sameScene(t, &in, f, *s)
 		if f == in.at {
-			f.Pix = cut
+			f.Pix = s.Pix
 		}
 	}
 	if !reflect.DeepEqual(fast, strict) {
@@ -382,6 +393,129 @@ func FuzzEnvelopeDecode(f *testing.F) {
 	})
 }
 
+// chunkReader delivers b at most n bytes a read, as a socket does.
+type chunkReader struct {
+	b []byte
+	n int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.b) == 0 {
+		return 0, io.EOF
+	}
+	k := copy(p[:min(len(p), r.n)], r.b)
+	r.b = r.b[k:]
+	return k, nil
+}
+
+// splitAt delivers body in three reads at most, ending at offsets a and
+// b (taken modulo the body length, in either order).
+func splitAt(body []byte, a, b int) io.Reader {
+	i, j := a%(len(body)+1), b%(len(body)+1)
+	if i > j {
+		i, j = j, i
+	}
+	return io.MultiReader(bytes.NewReader(body[:i]), bytes.NewReader(body[i:j]), bytes.NewReader(body[j:]))
+}
+
+// sameEverySplit decodes body as a T through splitAt(a, b) declaring its
+// length and declaring b bytes (honest or not), and one byte a read
+// declaring none, each held against the strict decode by sameStream. It
+// fails unless every reader takes the fast path exactly when the whole
+// body does, and reports whether it did.
+func sameEverySplit[T any](t *testing.T, body []byte, a, b int) bool {
+	t.Helper()
+	fast := sameDecode[T](t, body)
+	for i, got := range []bool{
+		sameStream[T](t, body, splitAt(body, a, b), int64(len(body))),
+		sameStream[T](t, body, splitAt(body, a, b), int64(b)),
+		sameStream[T](t, body, iotest.OneByteReader(bytes.NewReader(body)), -1),
+	} {
+		if got != fast {
+			t.Fatalf("%T decode of a %d-byte body split at %d, %d (reader %d): fast path %v, whole body %v", *new(T), len(body), a, b, i, got, fast)
+		}
+	}
+	return fast
+}
+
+// TestEnvelopeStreamSplits: however the body arrives (split at any
+// offsets, one byte a read, reads either side of a window and a stride,
+// with an honest, a false or no declared length) the stream decoder
+// gives what the strict decode of the whole body gives, and takes the
+// fast path for the same bodies. The bodies are values ending either
+// side of a read window, and bodies that fail the proof after strides
+// were decoded on arrival, so they are rebuilt from the decoded strides.
+func TestEnvelopeStreamSplits(t *testing.T) {
+	value := func(n int) string { return wireScene(1, n, 1).Pix }
+	// 3072 samples are 32768 characters: one read window exactly.
+	const n = 3*3072 + 5
+	deep := []byte(value(n))
+	at := func(i int, c byte) string {
+		v := slices.Clone(deep)
+		v[i] = c
+		return sceneLine(1, n, 1, string(v))
+	}
+	whole := sceneLine(1, n, 1, string(deep))
+	for _, tc := range []struct {
+		name string
+		body string
+		fast bool
+	}{
+		{"value one window", sceneLine(1, 3072, 1, value(3072)), true},
+		{"value a window less a quantum", sceneLine(1, 3070, 1, value(3070)), true},
+		{"value a window and a quantum", sceneLine(1, 3074, 1, value(3074)), true},
+		{"value across three windows", whole, true},
+		{"corrupt byte in the third window", at(2*readWindow+7, '!'), true},
+		{"padding ends a stride in the second window", at(readWindow+b64Stride-1, '='), true},
+		{"escaped byte in the third window", at(2*readWindow+7, '\\'), false},
+		{"newline starting a stride", at(readWindow+b64Stride, '\n'), false},
+		{"unterminated after windows", whole[:len(whole)/2], false},
+		{"non-ASCII tail after windows", whole + " é", false},
+		{"64x64 process body", string(processBody(t, 64, 64, "edge")), true},
+		{"64x64 process body spaced", string(spaced(processBody(t, 64, 64, "edge"))), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body := []byte(tc.body)
+			rng := rand.New(rand.NewSource(int64(len(body))))
+			for range 8 {
+				a, b := rng.Intn(len(body)+1), rng.Intn(len(body)+1)
+				got := sameEverySplit[SessionFrame](t, body, a, b)
+				got = sameEverySplit[ProcessRequest](t, body, a, b) || got
+				if got != tc.fast {
+					t.Fatalf("fast path taken = %v, want %v", got, tc.fast)
+				}
+			}
+			for _, k := range []int{b64Stride - 1, b64Stride + 1, readWindow - 1, readWindow, readWindow + 1} {
+				sameStream[SessionFrame](t, body, &chunkReader{b: body, n: k}, int64(len(body)))
+			}
+		})
+	}
+}
+
+// FuzzEnvelopeStream: on any bytes, split into reads at any two
+// offsets or arriving one byte a read, with or without an honest
+// declared length, the stream decoder gives what the strict decode of
+// the whole body gives: the same request, samples, cache key and error
+// text. Seeds stay at 2x2 scenes and below, as FuzzEnvelopeDecode's
+// do; TestEnvelopeStreamSplits holds the bodies that cross read windows.
+func FuzzEnvelopeStream(f *testing.F) {
+	for i, kernel := range []string{"reconstruct", "edge"} {
+		body := processBody(f, 2, 2, kernel)
+		f.Add(body, uint16(11*i+1), uint16(len(body)-3))
+		f.Add(spaced(body), uint16(40), uint16(60))
+	}
+	for i, tc := range envelopeCases {
+		f.Add([]byte(tc.body), uint16(i), uint16(len(tc.body)/2))
+	}
+	f.Add([]byte(sceneLine(2, 2, 1, "AAAAAAAAAAAAAAAAAADQPwAAAAAAAOA/AAAAAAAA6D8=")), uint16(44), uint16(45))
+	f.Add([]byte(sceneLine(65536, 65536, 3, "AAAA")), uint16(0), uint16(0))
+	f.Fuzz(func(t *testing.T, body []byte, a, b uint16) {
+		sameEverySplit[ProcessRequest](t, body, int(a), int(b))
+		sameEverySplit[InferRequest](t, body, int(a), int(b))
+		sameEverySplit[SessionFrame](t, body, int(a), int(b))
+	})
+}
+
 // BenchmarkEnvelopeDecode times one 256×256×3 /v1/process body from
 // bytes to a pooled scene, on the fast path and on the strict decode the
 // fast path replaces.
@@ -437,5 +571,47 @@ func TestReadEnvelopeIgnoresClaimedLength(t *testing.T) {
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
 		t.Fatalf("a %d-byte body claiming %d bytes allocated %d bytes", len(body), maxBodyBytes, got)
+	}
+}
+
+// TestStreamIgnoresClaimedLength: a scene body that claims the whole
+// 64 MB cap and sends a 64×64 scene (~130 KB) cannot make the server
+// size a sample buffer to the claim. The declared length sizes the
+// buffer only up to hintLead times the bytes received.
+func TestStreamIgnoresClaimedLength(t *testing.T) {
+	body := processBody(t, 64, 64, "edge")
+	r := httptest.NewRequest("POST", "/v1/process", bytes.NewReader(body))
+	r.ContentLength = maxBodyBytes
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var req ProcessRequest
+	in, err := readEnvelope(r, &req)
+	if err != nil || in.at != &req.Scene {
+		t.Fatalf("decode: %v (fast path %v)", err, in.at != nil)
+	}
+	img, err := in.scene(&req.Scene, nil)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putScene(img)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+		t.Fatalf("a %d-byte body claiming %d bytes allocated %d bytes", len(body), maxBodyBytes, got)
+	}
+}
+
+// TestStreamReadErrors: a read error (a truncated body, a reset
+// connection) is the decode's error wherever it strikes: in the head,
+// inside the value or in the tail.
+func TestStreamReadErrors(t *testing.T) {
+	body := processBody(t, 64, 64, "edge")
+	for _, at := range []int{10, len(body) / 2, len(body) - 5} {
+		for _, cause := range []error{io.ErrUnexpectedEOF, errors.New("connection reset")} {
+			var req ProcessRequest
+			r := io.MultiReader(bytes.NewReader(body[:at]), iotest.ErrReader(cause))
+			if _, err := decodeStream(r, int64(len(body)), &req); !errors.Is(err, cause) {
+				t.Errorf("read failing at byte %d of %d with %q: decode error %v", at, len(body), cause, err)
+			}
+		}
 	}
 }

@@ -172,6 +172,41 @@ type Config struct {
 	ShedAll        float64
 }
 
+// Validate rejects a Config that would not mean what it says. A
+// negative batch size, batch delay, queue, batch bound, session bound
+// or session window has no meaning (zero takes the default). A shed
+// threshold above 1 or NaN would switch its tier off silently:
+// occupancy never exceeds 1, and NaN compares false. The negatives
+// documented as disabling (cache and trace entries, the timeouts, the
+// shed tiers) stay valid.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name     string
+		v        any
+		negative bool
+	}{
+		{"BatchSize", c.BatchSize, c.BatchSize < 0},
+		{"BatchDelay", c.BatchDelay, c.BatchDelay < 0},
+		{"Queue", c.Queue, c.Queue < 0},
+		{"MaxBatches", c.MaxBatches, c.MaxBatches < 0},
+		{"MaxSessions", c.MaxSessions, c.MaxSessions < 0},
+		{"SessionWindow", c.SessionWindow, c.SessionWindow < 0},
+	} {
+		if f.negative {
+			return fmt.Errorf("server: %s = %v, want >= 0 (0 takes the default)", f.name, f.v)
+		}
+	}
+	for _, t := range []struct {
+		name string
+		v    float64
+	}{{"ShedCacheMiss", c.ShedCacheMiss}, {"ShedNonSession", c.ShedNonSession}, {"ShedAll", c.ShedAll}} {
+		if !(t.v <= 1) {
+			return fmt.Errorf("server: %s = %v, want a queue occupancy in (0,1], or negative to disable the tier", t.name, t.v)
+		}
+	}
+	return nil
+}
+
 // withDefaults resolves zero values.
 func (c Config) withDefaults() Config {
 	if c.BatchSize <= 0 {
@@ -258,17 +293,10 @@ func New(b Backend, cfg Config) (*Server, error) {
 	if b.Simulate == nil {
 		return nil, fmt.Errorf("server: backend needs a simulate function")
 	}
-	cfg = cfg.withDefaults()
-	for _, t := range []struct {
-		name string
-		v    float64
-	}{{"ShedCacheMiss", cfg.ShedCacheMiss}, {"ShedNonSession", cfg.ShedNonSession}, {"ShedAll", cfg.ShedAll}} {
-		// Above 1 (occupancy never gets there) or NaN (compares false),
-		// a tier would be silently off.
-		if !(t.v <= 1) {
-			return nil, fmt.Errorf("server: %s = %v, want a queue occupancy in (0,1], or negative to disable the tier", t.name, t.v)
-		}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
+	cfg = cfg.withDefaults()
 	// Zero-value energy params mean "unconfigured" (a real model always
 	// has a clock): default them so directly-assembled backends keep
 	// working and always price requests with the calibrated model.

@@ -621,6 +621,52 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 }
 
+// TestServeOptionsValidated: a negative count, size or delay that no
+// field documents as "disabled" is refused by NewServer, naming the
+// field; zero takes the default, and the
+// negatives documented as disabling stay valid.
+func TestServeOptionsValidated(t *testing.T) {
+	acc := testAccelerator(t, lightator.Physical)
+	for _, tc := range []struct {
+		name    string
+		opts    lightator.ServeOptions
+		wantErr string
+	}{
+		{"zeros", lightator.ServeOptions{}, ""},
+		{"documented disables", lightator.ServeOptions{
+			CacheEntries: -1, TraceEntries: -1, SessionIdleTimeout: -1, RequestTimeout: -1,
+			ReadHeaderTimeout: -1, IdleTimeout: -1, ShedCacheMiss: -1, ShedNonSession: -1, ShedAll: -1,
+		}, ""},
+		{"workers", lightator.ServeOptions{Workers: -1}, "Workers = -1"},
+		{"batch size", lightator.ServeOptions{BatchSize: -1}, "BatchSize = -1"},
+		{"batch delay", lightator.ServeOptions{BatchDelay: -time.Millisecond}, "BatchDelay = -1ms"},
+		{"queue", lightator.ServeOptions{Queue: -3}, "Queue = -3"},
+		{"max batches", lightator.ServeOptions{MaxBatches: -1}, "MaxBatches = -1"},
+		{"max sessions", lightator.ServeOptions{MaxSessions: -1}, "MaxSessions = -1"},
+		{"session window", lightator.ServeOptions{SessionWindow: -8}, "SessionWindow = -8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.opts.Workers == 0 {
+				tc.opts.Workers = 1
+			}
+			tc.opts.AgreementFrames = -1
+			srv, err := acc.NewServer(tc.opts)
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) || !strings.Contains(err.Error(), ">= 0") {
+					t.Fatalf("NewServer error %v, want one naming %q", err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("NewServer: %v", err)
+			}
+			if err := srv.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestShedThresholdsValidated: a shed threshold is a queue occupancy in
 // (0,1], zero for its default or negative to switch its tier off. NaN
 // and values above 1 would switch the tier off silently (occupancy never

@@ -195,8 +195,9 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 			if len(line) == 0 {
 				continue
 			}
-			// The line stays in the scanner's buffer: its scene is
-			// decoded before the next Scan reuses it.
+			// The line is the scanner's until the next Scan; the
+			// envelope decoder streams it like a body and keeps
+			// nothing of it.
 			var f SessionFrame
 			frame, err := decodeEnvelope(line, &f)
 			if err != nil {

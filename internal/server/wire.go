@@ -8,9 +8,7 @@ package server
 
 import (
 	"encoding/base64"
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"lightator/internal/sensor"
@@ -37,9 +35,7 @@ type FrameWire struct {
 // floatBytes returns the little-endian byte representation of xs.
 func floatBytes(xs []float64) []byte {
 	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(x))
-	}
+	samplesToBytes(buf, xs)
 	return buf
 }
 
@@ -69,7 +65,7 @@ const maxWireDim = 1 << 16
 // validateImageWire checks dims and decodes the base64 payload, returning
 // the raw little-endian sample bytes (identical to floatBytes of the
 // decoded image). It is the strict path: the decode of every image the
-// envelope decoder's fast path did not cut out, and the oracle that
+// envelope decoder's fast path did not stream, and the oracle that
 // path is tested against (envelope_test.go).
 func validateImageWire(w ImageWire) ([]byte, error) {
 	if err := checkImageDims(w); err != nil {
@@ -123,9 +119,7 @@ func getScene(h, w, c int) *sensor.Image {
 // into a pooled image; every sample is overwritten.
 func imageFromRaw(w ImageWire, raw []byte) *sensor.Image {
 	im := getScene(w.H, w.W, w.C)
-	for i := range im.Pix {
-		im.Pix[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
-	}
+	samplesFromBytes(im.Pix, raw)
 	return im
 }
 

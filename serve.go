@@ -1,6 +1,7 @@
 package lightator
 
 import (
+	"fmt"
 	"runtime"
 	"sort"
 	"time"
@@ -109,7 +110,9 @@ func EncodeFrame(f *Frame) FrameWire { return server.EncodeFrame(f) }
 func DecodeFrame(w FrameWire) (*Frame, error) { return server.DecodeFrame(w) }
 
 // ServeOptions configure the serving layer built over an accelerator.
-// Zero values take the documented defaults.
+// Zero values take the documented defaults. Negative values are refused
+// by NewServer, except where a field documents them as disabling: the
+// cache and trace sizes, the timeouts and the shed tiers.
 type ServeOptions struct {
 	// Workers bounds each pipeline batch's concurrency; 0 means
 	// runtime.NumCPU().
@@ -199,6 +202,33 @@ type ServeOptions struct {
 // default to the accelerator's Config.Seed; a request-level "seed" field
 // overrides it per call.
 func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
+	// Options are checked before anything is built: the agreement sweep
+	// alone takes seconds.
+	if opts.Workers < 0 {
+		return nil, fmt.Errorf("lightator: Workers = %d, want >= 0 (0 means runtime.NumCPU())", opts.Workers)
+	}
+	cfg := server.Config{
+		BatchSize:          opts.BatchSize,
+		BatchDelay:         opts.BatchDelay,
+		Queue:              opts.Queue,
+		MaxBatches:         opts.MaxBatches,
+		CacheEntries:       opts.CacheEntries,
+		TraceEntries:       opts.TraceEntries,
+		Debug:              opts.Debug,
+		MaxSessions:        opts.MaxSessions,
+		SessionIdleTimeout: opts.SessionIdleTimeout,
+		SessionWindow:      opts.SessionWindow,
+		RequestTimeout:     opts.RequestTimeout,
+		ReadHeaderTimeout:  opts.ReadHeaderTimeout,
+		IdleTimeout:        opts.IdleTimeout,
+		RejectDegraded:     opts.RejectDegraded,
+		ShedCacheMiss:      opts.ShedCacheMiss,
+		ShedNonSession:     opts.ShedNonSession,
+		ShedAll:            opts.ShedAll,
+	}
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	capture, err := a.NewPipeline(PipelineOptions{Workers: opts.Workers, DisableCA: true})
 	if err != nil {
 		return nil, err
@@ -307,23 +337,5 @@ func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
 		// accelerator's energy model at its configured weight precision.
 		Energy: a.params,
 		WBits:  a.cfg.Precision.WBits,
-	}, server.Config{
-		BatchSize:          opts.BatchSize,
-		BatchDelay:         opts.BatchDelay,
-		Queue:              opts.Queue,
-		MaxBatches:         opts.MaxBatches,
-		CacheEntries:       opts.CacheEntries,
-		TraceEntries:       opts.TraceEntries,
-		Debug:              opts.Debug,
-		MaxSessions:        opts.MaxSessions,
-		SessionIdleTimeout: opts.SessionIdleTimeout,
-		SessionWindow:      opts.SessionWindow,
-		RequestTimeout:     opts.RequestTimeout,
-		ReadHeaderTimeout:  opts.ReadHeaderTimeout,
-		IdleTimeout:        opts.IdleTimeout,
-		RejectDegraded:     opts.RejectDegraded,
-		ShedCacheMiss:      opts.ShedCacheMiss,
-		ShedNonSession:     opts.ShedNonSession,
-		ShedAll:            opts.ShedAll,
-	})
+	}, cfg)
 }
