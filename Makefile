@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-race alloc linkcheck metricscheck wirecompat fuzz paper bench bench-pipeline bench-profile bench-e2e serve
+.PHONY: check vet build test test-race alloc linkcheck metricscheck wirecompat expgolden fuzz paper bench bench-pipeline bench-profile bench-e2e serve
 
 check: vet build test-race alloc linkcheck metricscheck wirecompat
 
@@ -59,6 +59,16 @@ metricscheck:
 # current v1 types (docs/API.md#compatibility).
 wirecompat:
 	$(GO) test ./internal/server -run '^TestWireCompat$$' -count 1
+
+# Experiments oracle: a fresh `lightator-bench -exp all -profile smoke`
+# (figures, Table 1 with its training and photonic accuracy, ablations)
+# must match the committed output byte for byte. Training and the
+# photonic evaluation are deterministic at any worker count.
+EXP_GOLDEN = cmd/lightator-bench/testdata/exp-all-smoke.golden
+expgolden:
+	$(GO) run ./cmd/lightator-bench -exp all -profile smoke > .expgolden.out
+	diff -u $(EXP_GOLDEN) .expgolden.out
+	rm -f .expgolden.out
 
 # Regenerate the continuously-verified paper-claims table (markdown;
 # exits non-zero on drift). CI uploads this as the paper-claims artifact.

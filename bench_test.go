@@ -146,7 +146,7 @@ func BenchmarkPhotonicLeNetForward(b *testing.B) {
 	}
 	nn.FreezeActQuant(net, true)
 	nn.EnableQAT(net, 4)
-	pe, err := nn.NewPhotonicExec(net, 4, oc.Physical)
+	ev, err := infer.CompileEval(net, 4, oc.Physical)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func BenchmarkPhotonicLeNetForward(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pe.Forward(one); err != nil {
+		if _, err := ev.Forward(one); err != nil {
 			b.Fatal(err)
 		}
 	}

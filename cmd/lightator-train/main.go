@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"lightator/internal/dataset"
+	"lightator/internal/infer"
 	"lightator/internal/models"
 	"lightator/internal/nn"
 	"lightator/internal/oc"
@@ -111,17 +112,17 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "digital quantized accuracy: %.2f%%\n", acc*100)
 
 	if *photonicN > 0 {
-		pe, err := nn.NewPhotonicExec(net, *aBits, oc.Physical)
+		ev, err := infer.CompileEval(net, *aBits, oc.Physical)
 		if err != nil {
 			return err
 		}
-		pacc, err := train.EvaluatePhotonic(pe, testSet, 16, *photonicN)
+		pacc, err := train.EvaluatePhotonic(ev, testSet, 16, *photonicN)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "photonic (crosstalk) accuracy on %d samples: %.2f%%\n", *photonicN, pacc*100)
 		fmt.Fprintf(stdout, "network occupies %d optical-core arms; full-residency tuning power %.3g W\n",
-			pe.ArmCount(), pe.HeaterPower())
+			ev.ArmCount(), ev.HeaterPower())
 	}
 	return nil
 }

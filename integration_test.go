@@ -6,8 +6,8 @@ import (
 
 	"lightator"
 	"lightator/internal/dataset"
+	"lightator/internal/infer"
 	"lightator/internal/models"
-	"lightator/internal/nn"
 	"lightator/internal/oc"
 	"lightator/internal/train"
 )
@@ -41,11 +41,11 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// Compile for the optical core and evaluate through the full analog
 	// model including BPD noise.
-	pe, err := nn.NewPhotonicExec(net, 4, oc.PhysicalNoisy)
+	ev, err := infer.CompileEval(net, 4, oc.PhysicalNoisy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	photonic, err := train.EvaluatePhotonic(pe, testSet, 16, 60)
+	photonic, err := train.EvaluatePhotonic(ev, testSet, 16, 60)
 	if err != nil {
 		t.Fatal(err)
 	}

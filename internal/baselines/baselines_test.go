@@ -49,22 +49,6 @@ func TestOpticalDesignsMatchTable1(t *testing.T) {
 	}
 }
 
-func TestCrossLightRange(t *testing.T) {
-	small := CrossLight()
-	large := CrossLightLarge()
-	if large.MaxPower() <= small.MaxPower() {
-		t.Fatal("large CrossLight not larger")
-	}
-	// Paper range: 84-390 W and 10.78-52.59 KFPS/W.
-	if math.Abs(large.MaxPower()-390)/390 > 0.10 {
-		t.Errorf("CrossLight large power %g, want ~390", large.MaxPower())
-	}
-	macs := lenetMACs(t)
-	if math.Abs(large.KFPSPerW(macs)-10.78)/10.78 > 0.20 {
-		t.Errorf("CrossLight large KFPS/W %g, want ~10.78", large.KFPSPerW(macs))
-	}
-}
-
 func TestGPUBaseline(t *testing.T) {
 	g := RTX3060Ti()
 	if g.BoardPower != 200 {
@@ -123,10 +107,7 @@ func TestElectronicOrdering(t *testing.T) {
 	}
 }
 
-func TestAllOpticalCount(t *testing.T) {
-	if len(AllOptical()) != 5 {
-		t.Errorf("optical designs %d, want 5", len(AllOptical()))
-	}
+func TestAllElectronicCount(t *testing.T) {
 	if len(AllElectronic()) != 4 {
 		t.Errorf("electronic designs %d, want 4", len(AllElectronic()))
 	}

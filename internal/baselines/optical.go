@@ -134,9 +134,9 @@ func Robin() OpticalDesign {
 }
 
 // CrossLight models the DAC'21 cross-layer photonic accelerator (paper
-// [16]) at its low-power endpoint; CrossLightLarge is the high-power
-// endpoint. Both tune MRs for activations AND weights — the overhead
-// Lightator's DMVA eliminates.
+// [16]) at its low-power endpoint (84 W of the reported 84–390 W range).
+// It tunes MRs for activations AND weights — the overhead Lightator's
+// DMVA eliminates.
 func CrossLight() OpticalDesign {
 	return OpticalDesign{
 		Name: "CrossLight", Config: "[4:4]", ProcessNode: 0,
@@ -147,18 +147,6 @@ func CrossLight() OpticalDesign {
 		PowerPublished: true,
 		PeakMACsPerSec: 1.84e12, // calibrated: 52.59 KFPS/W at 84 W
 	}
-}
-
-// CrossLightLarge is the 390 W endpoint of CrossLight's reported range.
-func CrossLightLarge() OpticalDesign {
-	d := CrossLight()
-	d.NumDAC = 30000
-	d.NumTunedMR = 185000
-	d.LaserPower = 20
-	d.DigitalPower = 35
-	// Throughput grows sublinearly with the array: 10.78 KFPS/W at 390 W.
-	d.PeakMACsPerSec = 1.75e12
-	return d
 }
 
 // GPU models the NVIDIA GeForce RTX 3060 Ti baseline of Table 1: 200 W
@@ -173,9 +161,4 @@ type GPU struct {
 // RTX3060Ti returns the baseline GPU.
 func RTX3060Ti() GPU {
 	return GPU{Name: "RTX 3060Ti", BoardPower: 200, PeakFLOPs: 16.2e12}
-}
-
-// AllOptical returns the Table 1 optical designs in paper order.
-func AllOptical() []OpticalDesign {
-	return []OpticalDesign{LightBulb(), HolyLight(), HQNNA(), Robin(), CrossLight()}
 }

@@ -6,13 +6,12 @@ import (
 
 	"lightator/internal/arch"
 	"lightator/internal/energy"
+	"lightator/internal/infer"
 	"lightator/internal/mapping"
 	"lightator/internal/models"
 	"lightator/internal/oc"
 	"lightator/internal/report"
 	"lightator/internal/train"
-
-	"lightator/internal/nn"
 )
 
 // AblationCA quantifies the Compressive Acquisitor's effect (DESIGN.md
@@ -160,11 +159,11 @@ func (e *engine) photonicAccuracy(task Task, cfg PrecisionConfig, fid oc.Fidelit
 	if err != nil {
 		return 0, err
 	}
-	pe, err := nn.NewPhotonicExec(net, cfg.ABits, fid)
+	ev, err := infer.CompileEval(net, cfg.ABits, fid)
 	if err != nil {
 		return 0, err
 	}
-	acc, err := train.EvaluatePhotonic(pe, te, 16, e.opt.budget(task).photonicEvalN)
+	acc, err := train.EvaluatePhotonic(ev, te, 16, e.opt.budget(task).photonicEvalN)
 	if err != nil {
 		return 0, err
 	}

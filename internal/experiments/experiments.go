@@ -16,6 +16,7 @@ import (
 	"sync"
 
 	"lightator/internal/dataset"
+	"lightator/internal/infer"
 	"lightator/internal/models"
 	"lightator/internal/nn"
 	"lightator/internal/oc"
@@ -355,11 +356,11 @@ func (e *engine) Accuracy(task Task, cfg PrecisionConfig) (float64, error) {
 
 	var acc float64
 	if cfg.Photonic {
-		pe, err := nn.NewPhotonicExec(net, cfg.ABits, oc.Physical)
+		ev, err := infer.CompileEval(net, cfg.ABits, oc.Physical)
 		if err != nil {
 			return 0, err
 		}
-		acc, err = train.EvaluatePhotonic(pe, te, 16, b.photonicEvalN)
+		acc, err = train.EvaluatePhotonic(ev, te, 16, b.photonicEvalN)
 		if err != nil {
 			return 0, err
 		}

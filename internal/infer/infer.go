@@ -37,14 +37,13 @@
 // optical-vs-reference gap isolates crosstalk and noise — the same split
 // kernels.Kernel.Reference draws.
 //
-// Relationship to nn.PhotonicExec: that executor is the training-eval
-// path (per-layer cores for Lightator-MX, a fixed internal seed chain,
-// accuracy experiments); this package is the serving path — a
-// caller-chosen seed, full-scale weight normalisation, a quantized
-// digital reference, and a registry. Both program their matrices with
-// oc.Core.ProgramCalibrated, so every optical MVM restores the per-row
-// defect calibration. The im2col/scale machinery intentionally mirrors
-// it; a fix to the layer mapping likely applies to both.
+// Training-eval: CompileEval compiles a network through the same stage
+// builder (compileStages) with one core per weight bit width
+// (Lightator-MX) and the health label "photonic:<layer>"; its Forward
+// walks [N,…] batch tensors through the same applyConv/applyDense stage
+// methods under a fixed internal seed chain. Table 1, ablation A3 and
+// lightator-train measure accuracy through it, so training-eval and
+// serving share one layer mapping.
 //
 // See docs/INFER.md for the layer mapping, the accuracy-vs-compression
 // behaviour and the serving integration.
@@ -129,46 +128,16 @@ func Compile(core *oc.Core, name, desc string, net *nn.Sequential, inH, inW int)
 	if inH < 1 || inW < 1 {
 		return nil, fmt.Errorf("infer: %s: invalid input plane %dx%d", name, inH, inW)
 	}
-	m := &Model{name: name, desc: desc, inH: inH, inW: inW}
-	sx := 1.0 // the compressed plane arrives in the sensor's [0,1] range
-	optical := 0
-	for _, l := range net.Layers {
-		switch layer := l.(type) {
-		case *nn.Conv2D:
-			st, err := buildMVMStage(core, layer.Name(), layer.W.Data, layer.B.Data, sx)
-			if err != nil {
-				return nil, fmt.Errorf("infer: %s: %w", name, err)
-			}
-			st.kind = stageConv
-			st.conv = layer
-			// Every optical stage is a health component: fault plans target
-			// it as "model:<model>/<layer>" and its ABFT/recovery counters
-			// surface under that label.
-			st.pm.SetLabel("model:" + name + "/" + layer.Name())
-			m.stages = append(m.stages, st)
-			optical++
-		case *nn.Dense:
-			st, err := buildMVMStage(core, layer.Name(), layer.W.Data, layer.B.Data, sx)
-			if err != nil {
-				return nil, fmt.Errorf("infer: %s: %w", name, err)
-			}
-			st.kind = stageDense
-			st.pm.SetLabel("model:" + name + "/" + layer.Name())
-			m.stages = append(m.stages, st)
-			optical++
-		case *nn.ActQuant:
-			if layer.Scale <= 0 {
-				return nil, fmt.Errorf("infer: %s: activation quantizer %s is not calibrated (Scale <= 0); run a calibration forward pass first", name, layer.Name())
-			}
-			sx = layer.Scale
-			m.stages = append(m.stages, stage{kind: stageDigital, layer: l})
-		default:
-			m.stages = append(m.stages, stage{kind: stageDigital, layer: l})
-		}
+	// Every optical stage is a health component: fault plans target it as
+	// "model:<model>/<layer>" and its ABFT/recovery counters surface under
+	// that label.
+	stages, err := compileStages(net,
+		func(*nn.WeightQuant) (*oc.Core, error) { return core, nil },
+		func(layer string) string { return "model:" + name + "/" + layer })
+	if err != nil {
+		return nil, fmt.Errorf("infer: %s: %w", name, err)
 	}
-	if optical == 0 {
-		return nil, fmt.Errorf("infer: %s: network has no conv/dense layers to execute optically", name)
-	}
+	m := &Model{name: name, desc: desc, inH: inH, inW: inW, stages: stages}
 	// Dry digital run pins the output contract (logits) and catches
 	// geometry mismatches at compile time instead of first request.
 	probe, err := net.Forward(nn.NewTensor(1, 1, inH, inW), false)
@@ -180,6 +149,62 @@ func Compile(core *oc.Core, name, desc string, net *nn.Sequential, inH, inW int)
 	}
 	m.classes = probe.Shape[1]
 	return m, nil
+}
+
+// compileStages is the one layer loop behind Compile and CompileEval:
+// every Conv2D and Dense layer becomes an optical stage programmed on
+// coreFor(layer.WQuant) and labelled label(layer name), every ActQuant
+// sets the input scale of the optical stages after it (the network input
+// arrives in the sensor's [0,1] range), and every other layer stays
+// digital. At least one stage must be optical.
+func compileStages(net *nn.Sequential, coreFor func(*nn.WeightQuant) (*oc.Core, error), label func(string) string) ([]stage, error) {
+	var stages []stage
+	sx := 1.0
+	optical := func(wq *nn.WeightQuant, layerName string, wData, bias []float64) (stage, error) {
+		core, err := coreFor(wq)
+		if err != nil {
+			return stage{}, fmt.Errorf("%s: %w", layerName, err)
+		}
+		st, err := buildMVMStage(core, layerName, wData, bias, sx)
+		if err != nil {
+			return stage{}, err
+		}
+		st.pm.SetLabel(label(layerName))
+		return st, nil
+	}
+	hasOptical := false
+	for _, l := range net.Layers {
+		switch layer := l.(type) {
+		case *nn.Conv2D:
+			st, err := optical(layer.WQuant, layer.Name(), layer.W.Data, layer.B.Data)
+			if err != nil {
+				return nil, err
+			}
+			st.kind, st.conv = stageConv, layer
+			stages = append(stages, st)
+			hasOptical = true
+		case *nn.Dense:
+			st, err := optical(layer.WQuant, layer.Name(), layer.W.Data, layer.B.Data)
+			if err != nil {
+				return nil, err
+			}
+			st.kind = stageDense
+			stages = append(stages, st)
+			hasOptical = true
+		case *nn.ActQuant:
+			if layer.Scale <= 0 {
+				return nil, fmt.Errorf("activation quantizer %s is not calibrated (Scale <= 0); run a calibration forward pass first", layer.Name())
+			}
+			sx = layer.Scale
+			stages = append(stages, stage{kind: stageDigital, layer: l})
+		default:
+			stages = append(stages, stage{kind: stageDigital, layer: l})
+		}
+	}
+	if !hasOptical {
+		return nil, fmt.Errorf("network has no conv/dense layers to execute optically")
+	}
+	return stages, nil
 }
 
 // buildMVMStage applies the full-scale normalisation split: the matrix is

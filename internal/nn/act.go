@@ -1,12 +1,9 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// ReLU is the rectified linear activation (one of the three activation
-// functions Lightator's electronic block supports: Sign, ReLU, tanh).
+// ReLU is the rectified linear activation, applied in Lightator's
+// electronic block.
 type ReLU struct {
 	LayerName string
 	mask      []bool
@@ -59,99 +56,6 @@ func (r *ReLU) Backward(dy *Tensor) (*Tensor, error) {
 	dx := dy.Clone()
 	for i := range dx.Data {
 		if !r.mask[i] {
-			dx.Data[i] = 0
-		}
-	}
-	return dx, nil
-}
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	LayerName string
-	y         *Tensor
-}
-
-// NewTanh constructs a tanh layer.
-func NewTanh(name string) *Tanh { return &Tanh{LayerName: name} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return t.LayerName }
-
-// Params implements Layer.
-func (t *Tanh) Params() []*Param { return nil }
-
-// CloneShared implements Layer.
-func (t *Tanh) CloneShared() Layer { return &Tanh{LayerName: t.LayerName} }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *Tensor, train bool) (*Tensor, error) {
-	y := x.Clone()
-	for i, v := range x.Data {
-		y.Data[i] = math.Tanh(v)
-	}
-	if train {
-		t.y = y
-	}
-	return y, nil
-}
-
-// Backward implements Layer.
-func (t *Tanh) Backward(dy *Tensor) (*Tensor, error) {
-	if t.y == nil {
-		return nil, fmt.Errorf("tanh %s: backward before training forward", t.LayerName)
-	}
-	dx := dy.Clone()
-	for i := range dx.Data {
-		dx.Data[i] *= 1 - t.y.Data[i]*t.y.Data[i]
-	}
-	return dx, nil
-}
-
-// Sign is the binary sign activation with a straight-through estimator
-// (hard-tanh window) for training, used by binary networks such as the
-// LightBulb and Robin baselines.
-type Sign struct {
-	LayerName string
-	x         *Tensor
-}
-
-// NewSign constructs a sign-activation layer.
-func NewSign(name string) *Sign { return &Sign{LayerName: name} }
-
-// Name implements Layer.
-func (s *Sign) Name() string { return s.LayerName }
-
-// Params implements Layer.
-func (s *Sign) Params() []*Param { return nil }
-
-// CloneShared implements Layer.
-func (s *Sign) CloneShared() Layer { return &Sign{LayerName: s.LayerName} }
-
-// Forward implements Layer.
-func (s *Sign) Forward(x *Tensor, train bool) (*Tensor, error) {
-	y := x.Clone()
-	for i, v := range x.Data {
-		if v >= 0 {
-			y.Data[i] = 1
-		} else {
-			y.Data[i] = -1
-		}
-	}
-	if train {
-		s.x = x
-	}
-	return y, nil
-}
-
-// Backward implements Layer: straight-through estimator, gradients pass
-// where |x| <= 1.
-func (s *Sign) Backward(dy *Tensor) (*Tensor, error) {
-	if s.x == nil {
-		return nil, fmt.Errorf("sign %s: backward before training forward", s.LayerName)
-	}
-	dx := dy.Clone()
-	for i := range dx.Data {
-		if math.Abs(s.x.Data[i]) > 1 {
 			dx.Data[i] = 0
 		}
 	}

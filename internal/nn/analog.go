@@ -15,8 +15,8 @@ import "lightator/internal/oc"
 // train through their optics).
 //
 // A WeightQuant with the core's weight precision is attached alongside,
-// so NewPhotonicExec and the serving compiler read the same bit width
-// the analog forward used. Mixed-precision overrides can still be
+// so infer.CompileEval programs each layer at the bit width the analog
+// forward used. Mixed-precision overrides can still be
 // applied afterwards with SetLayerWeightBits plus a per-layer Analog
 // core of matching precision.
 //
@@ -31,19 +31,6 @@ func EnableAnalogQAT(net *Sequential, core *oc.Core) {
 		case *Dense:
 			layer.WQuant = &WeightQuant{Bits: core.WBits}
 			layer.Analog = core
-		}
-	}
-}
-
-// DisableAnalogQAT detaches the analog forward from every layer, leaving
-// any WeightQuant in place (the network falls back to plain grid QAT).
-func DisableAnalogQAT(net *Sequential) {
-	for _, l := range net.Layers {
-		switch layer := l.(type) {
-		case *Conv2D:
-			layer.Analog = nil
-		case *Dense:
-			layer.Analog = nil
 		}
 	}
 }

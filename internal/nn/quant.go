@@ -50,8 +50,8 @@ func QuantizeUnsigned(v, scale float64, bits int) float64 {
 }
 
 // WeightQuant fake-quantizes a weight tensor with a per-tensor max-abs
-// scale. It is attached to Conv2D/Dense layers for QAT and reused by the
-// photonic executor to reproduce exactly the grid the MRs realise.
+// scale. It is attached to Conv2D/Dense layers for QAT; its Bits select
+// the optical core a layer is programmed on (infer.CompileEval).
 type WeightQuant struct {
 	Bits int
 }
@@ -72,17 +72,6 @@ func (q *WeightQuant) Apply(w []float64, out []float64) float64 {
 	}
 	for i, v := range w {
 		out[i] = QuantizeSymmetric(v, scale, q.Bits)
-	}
-	return scale
-}
-
-// Scale returns the per-tensor max-abs scale without quantizing.
-func (q *WeightQuant) Scale(w []float64) float64 {
-	scale := 0.0
-	for _, v := range w {
-		if a := math.Abs(v); a > scale {
-			scale = a
-		}
 	}
 	return scale
 }

@@ -72,12 +72,6 @@ func (t *Tensor) Set4(n, c, h, w int, v float64) {
 	t.Data[((n*t.Shape[1]+c)*t.Shape[2]+h)*t.Shape[3]+w] = v
 }
 
-// At2 indexes an [N, D] tensor.
-func (t *Tensor) At2(n, d int) float64 { return t.Data[n*t.Shape[1]+d] }
-
-// Set2 writes an [N, D] element.
-func (t *Tensor) Set2(n, d int, v float64) { t.Data[n*t.Shape[1]+d] = v }
-
 // Fill sets every element to v.
 func (t *Tensor) Fill(v float64) {
 	for i := range t.Data {

@@ -61,16 +61,6 @@ func DefaultRing() *Ring {
 	}
 }
 
-// RingAt returns a ring whose untuned resonance is aligned exactly to
-// wavelength lam, by snapping the effective index so that neff*L/m = lam
-// for the nearest resonance order m. This mirrors post-fabrication trimming
-// of weight-bank rings to their WDM channel.
-func RingAt(lam float64) *Ring {
-	r := DefaultRing()
-	r.AlignTo(lam)
-	return r
-}
-
 // WeightBankRing returns a ring suited to dense WDM weight banks: 3 um
 // radius so the FSR (~30 nm) clears the 9-channel x 2 nm arm span with
 // margin, 0.99 self-coupling on both buses so the resonance is narrow

@@ -23,7 +23,8 @@ func TestRingResonanceCondition(t *testing.T) {
 }
 
 func TestRingAlignTo(t *testing.T) {
-	r := RingAt(CBandCenter)
+	r := DefaultRing()
+	r.AlignTo(CBandCenter)
 	res := r.NearestResonance(CBandCenter)
 	if math.Abs(res-CBandCenter) > 1e-15 {
 		t.Fatalf("aligned ring resonance %g, want %g", res, CBandCenter)

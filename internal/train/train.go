@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"lightator/internal/infer"
 	"lightator/internal/nn"
 	"lightator/internal/oc"
 )
@@ -387,9 +388,10 @@ func Evaluate(net *nn.Sequential, ds Dataset, batchSize int) (float64, error) {
 	return float64(hits) / float64(n), nil
 }
 
-// EvaluatePhotonic measures accuracy through the photonic executor, which
-// is the end-to-end number Table 1 reports for Lightator.
-func EvaluatePhotonic(pe *nn.PhotonicExec, ds Dataset, batchSize, maxSamples int) (float64, error) {
+// EvaluatePhotonic measures accuracy through the photonic executor
+// (infer.CompileEval), which is the end-to-end number Table 1 reports for
+// Lightator.
+func EvaluatePhotonic(ev *infer.Eval, ds Dataset, batchSize, maxSamples int) (float64, error) {
 	if batchSize < 1 {
 		batchSize = 16
 	}
@@ -414,7 +416,7 @@ func EvaluatePhotonic(pe *nn.PhotonicExec, ds Dataset, batchSize, maxSamples int
 		for i := 0; i < end-start; i++ {
 			labels[i] = ds.Sample(start+i, x.Data[i*sampleSize:(i+1)*sampleSize])
 		}
-		y, err := pe.Forward(x)
+		y, err := ev.Forward(x)
 		if err != nil {
 			return 0, err
 		}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lightator/internal/dataset"
+	"lightator/internal/infer"
 	"lightator/internal/models"
 	"lightator/internal/nn"
 	"lightator/internal/oc"
@@ -75,11 +76,11 @@ func TestTrainLeNetOnDigits(t *testing.T) {
 	}
 
 	// The photonic path should track the digital quantized accuracy.
-	pe, err := nn.NewPhotonicExec(net, 4, oc.Physical)
+	ev, err := infer.CompileEval(net, 4, oc.Physical)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pacc, err := EvaluatePhotonic(pe, testSet, 16, 100)
+	pacc, err := EvaluatePhotonic(ev, testSet, 16, 100)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -275,10 +275,12 @@ type Accelerator struct {
 	// pipeMu guards the lazily-built per-kernel and per-model pipelines
 	// behind ProcessCompressed / Infer (one per name, reused across
 	// calls).
-	pipeMu     sync.Mutex
-	kernPipes  map[string]*Pipeline
-	inferPipes map[string]*Pipeline
+	pipeMu sync.Mutex
+	pipes  map[pipeKey]*Pipeline
 }
+
+// pipeKey names a cached single-stage pipeline: a kernel or a model.
+type pipeKey struct{ kernel, model string }
 
 // New builds an accelerator.
 func New(cfg Config) (*Accelerator, error) {
@@ -310,7 +312,7 @@ func New(cfg Config) (*Accelerator, error) {
 	}
 	acc := &Accelerator{
 		cfg: cfg, array: arr, core: core, params: energy.Default(),
-		kernPipes: make(map[string]*Pipeline), inferPipes: make(map[string]*Pipeline),
+		pipes: make(map[pipeKey]*Pipeline),
 	}
 	if cfg.CAPool != 0 {
 		if cfg.SensorRows%cfg.CAPool != 0 || cfg.SensorCols%cfg.CAPool != 0 {
@@ -457,21 +459,23 @@ func (a *Accelerator) NewPipeline(opts PipelineOptions) (*Pipeline, error) {
 	})
 }
 
-// firstBatchErr surfaces the first per-frame error of a batch run.
-func firstBatchErr(results []PipelineResult) error {
-	for _, r := range results {
+// pick returns field(r) of every frame result in order, or the first
+// frame's error.
+func pick[T any](results []PipelineResult, field func(PipelineResult) T) ([]T, error) {
+	out := make([]T, len(results))
+	for i, r := range results {
 		if r.Err != nil {
-			return r.Err
+			return nil, r.Err
 		}
+		out[i] = field(r)
 	}
-	return nil
+	return out, nil
 }
 
-// CaptureBatch captures a batch of scenes across `workers` goroutines
-// (each worker owns a clone of the sensor array), returning frames in
-// input order.
-func (a *Accelerator) CaptureBatch(scenes []*Image, workers int) ([]*Frame, error) {
-	p, err := a.NewPipeline(PipelineOptions{Workers: workers, DisableCA: true})
+// runBatch runs scenes through a new pipeline built from opts and picks
+// one field of every frame result.
+func runBatch[T any](a *Accelerator, opts PipelineOptions, scenes []*Image, field func(PipelineResult) T) ([]T, error) {
+	p, err := a.NewPipeline(opts)
 	if err != nil {
 		return nil, err
 	}
@@ -479,14 +483,52 @@ func (a *Accelerator) CaptureBatch(scenes []*Image, workers int) ([]*Frame, erro
 	if err != nil {
 		return nil, err
 	}
-	if err := firstBatchErr(results); err != nil {
+	return pick(results, field)
+}
+
+// runOne processes scene exactly as frame 0 of a seeded batch under
+// Config.Seed, on the pipeline cached for opts' kernel or model (built on
+// first use), and picks one field of its result.
+func runOne[T any](a *Accelerator, opts PipelineOptions, scene *Image, field func(PipelineResult) T) (T, error) {
+	var zero T
+	p, err := a.cachedPipeline(opts)
+	if err != nil {
+		return zero, err
+	}
+	results, _, err := p.RunSeeded([]pipeline.SeededScene{{Seed: a.cfg.Seed, Scene: scene}})
+	if err != nil {
+		return zero, err
+	}
+	out, err := pick(results, field)
+	if err != nil {
+		return zero, err
+	}
+	return out[0], nil
+}
+
+// cachedPipeline returns the pipeline cached for opts' kernel or model,
+// building it from opts on first use.
+func (a *Accelerator) cachedPipeline(opts PipelineOptions) (*Pipeline, error) {
+	key := pipeKey{kernel: opts.Kernel, model: opts.Infer}
+	a.pipeMu.Lock()
+	defer a.pipeMu.Unlock()
+	if p, ok := a.pipes[key]; ok {
+		return p, nil
+	}
+	p, err := a.NewPipeline(opts)
+	if err != nil {
 		return nil, err
 	}
-	frames := make([]*Frame, len(results))
-	for i, r := range results {
-		frames[i] = r.Frame
-	}
-	return frames, nil
+	a.pipes[key] = p
+	return p, nil
+}
+
+// CaptureBatch captures a batch of scenes across `workers` goroutines
+// (each worker owns a clone of the sensor array), returning frames in
+// input order.
+func (a *Accelerator) CaptureBatch(scenes []*Image, workers int) ([]*Frame, error) {
+	return runBatch(a, PipelineOptions{Workers: workers, DisableCA: true}, scenes,
+		func(r PipelineResult) *Frame { return r.Frame })
 }
 
 // AcquireCompressedBatch runs capture + compressive acquisition over a
@@ -497,22 +539,8 @@ func (a *Accelerator) AcquireCompressedBatch(scenes []*Image, workers int) ([]*I
 	if a.ca == nil {
 		return nil, fmt.Errorf("lightator: compressive acquisition disabled (CAPool = 0)")
 	}
-	p, err := a.NewPipeline(PipelineOptions{Workers: workers})
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := p.Run(scenes)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstBatchErr(results); err != nil {
-		return nil, err
-	}
-	out := make([]*Image, len(results))
-	for i, r := range results {
-		out[i] = r.Compressed
-	}
-	return out, nil
+	return runBatch(a, PipelineOptions{Workers: workers}, scenes,
+		func(r PipelineResult) *Image { return r.Compressed })
 }
 
 // Kernels lists the registered compressed-domain processing kernels,
@@ -536,22 +564,6 @@ func (a *Accelerator) KernelDescription(name string) (string, error) {
 	return a.eng.Description(name)
 }
 
-// kernelPipeline returns the cached single-kernel pipeline behind
-// ProcessCompressed, building it on first use.
-func (a *Accelerator) kernelPipeline(kernel string) (*Pipeline, error) {
-	a.pipeMu.Lock()
-	defer a.pipeMu.Unlock()
-	if p, ok := a.kernPipes[kernel]; ok {
-		return p, nil
-	}
-	p, err := a.NewPipeline(PipelineOptions{Kernel: kernel})
-	if err != nil {
-		return nil, err
-	}
-	a.kernPipes[kernel] = p
-	return p, nil
-}
-
 // ProcessCompressed captures a scene, compresses it with the CA, and runs
 // the named compressed-domain kernel on the measurement plane — all three
 // stages through the optical core. The scene is processed exactly as
@@ -563,18 +575,8 @@ func (a *Accelerator) ProcessCompressed(scene *Image, kernel string) (*Image, er
 	if a.eng == nil {
 		return nil, fmt.Errorf("lightator: compressed-domain kernels disabled (CAPool = 0)")
 	}
-	p, err := a.kernelPipeline(kernel)
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := p.RunSeeded([]pipeline.SeededScene{{Seed: a.cfg.Seed, Scene: scene}})
-	if err != nil {
-		return nil, err
-	}
-	if err := firstBatchErr(results); err != nil {
-		return nil, err
-	}
-	return results[0].Processed, nil
+	return runOne(a, PipelineOptions{Kernel: kernel}, scene,
+		func(r PipelineResult) *Image { return r.Processed })
 }
 
 // ProcessCompressedBatch runs capture + CA + the named kernel over a
@@ -585,22 +587,8 @@ func (a *Accelerator) ProcessCompressedBatch(scenes []*Image, kernel string, wor
 	if a.eng == nil {
 		return nil, fmt.Errorf("lightator: compressed-domain kernels disabled (CAPool = 0)")
 	}
-	p, err := a.NewPipeline(PipelineOptions{Workers: workers, Kernel: kernel})
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := p.Run(scenes)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstBatchErr(results); err != nil {
-		return nil, err
-	}
-	out := make([]*Image, len(results))
-	for i, r := range results {
-		out[i] = r.Processed
-	}
-	return out, nil
+	return runBatch(a, PipelineOptions{Workers: workers, Kernel: kernel}, scenes,
+		func(r PipelineResult) *Image { return r.Processed })
 }
 
 // Models lists the registered compressed-domain inference models, sorted
@@ -652,22 +640,6 @@ func (a *Accelerator) inferModel(name string) (*infer.Model, error) {
 	return a.inf.Model(name)
 }
 
-// inferPipeline returns the cached single-model pipeline behind Infer,
-// building it on first use.
-func (a *Accelerator) inferPipeline(model string) (*Pipeline, error) {
-	a.pipeMu.Lock()
-	defer a.pipeMu.Unlock()
-	if p, ok := a.inferPipes[model]; ok {
-		return p, nil
-	}
-	p, err := a.NewPipeline(PipelineOptions{Infer: model})
-	if err != nil {
-		return nil, err
-	}
-	a.inferPipes[model] = p
-	return p, nil
-}
-
 // Infer captures a scene, compresses it with the CA, and runs the named
 // registered model on the measurement plane — all three stages through
 // the optical core — returning the class logits. The scene is processed
@@ -678,18 +650,8 @@ func (a *Accelerator) Infer(scene *Image, model string) ([]float64, error) {
 	if a.inf == nil {
 		return nil, fmt.Errorf("lightator: compressed-domain inference disabled (CAPool = 0)")
 	}
-	p, err := a.inferPipeline(model)
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := p.RunSeeded([]pipeline.SeededScene{{Seed: a.cfg.Seed, Scene: scene}})
-	if err != nil {
-		return nil, err
-	}
-	if err := firstBatchErr(results); err != nil {
-		return nil, err
-	}
-	return results[0].Logits, nil
+	return runOne(a, PipelineOptions{Infer: model}, scene,
+		func(r PipelineResult) []float64 { return r.Logits })
 }
 
 // InferBatch runs capture + CA + the named model over a batch of scenes
@@ -700,22 +662,8 @@ func (a *Accelerator) InferBatch(scenes []*Image, model string, workers int) ([]
 	if a.inf == nil {
 		return nil, fmt.Errorf("lightator: compressed-domain inference disabled (CAPool = 0)")
 	}
-	p, err := a.NewPipeline(PipelineOptions{Workers: workers, Infer: model})
-	if err != nil {
-		return nil, err
-	}
-	results, _, err := p.Run(scenes)
-	if err != nil {
-		return nil, err
-	}
-	if err := firstBatchErr(results); err != nil {
-		return nil, err
-	}
-	out := make([][]float64, len(results))
-	for i, r := range results {
-		out[i] = r.Logits
-	}
-	return out, nil
+	return runBatch(a, PipelineOptions{Workers: workers, Infer: model}, scenes,
+		func(r PipelineResult) []float64 { return r.Logits })
 }
 
 // InferPlane runs the named model directly over a pre-compressed CA
