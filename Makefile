@@ -30,8 +30,9 @@ alloc:
 
 # Coverage-guided fuzz smoke over the wire codecs, the /v1/process,
 # /v1/infer and /v1/matvec handlers, the envelope decoder (fast path against strict JSON,
-# whole and split into reads at any offsets) and the
-# session NDJSON stream (seed corpora in internal/server/testdata/fuzz). Each
+# whole and split into reads at any offsets), the
+# session NDJSON stream and its line reader (held against the Scanner
+# reader it replaced; seed corpora in internal/server/testdata/fuzz). Each
 # target needs its own invocation: -fuzz accepts exactly one match.
 FUZZTIME ?= 10s
 fuzz:
@@ -43,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEnvelopeDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEnvelopeStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSessionFrames$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSessionLines$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)
 
 # Fail on broken relative links in the repo's markdown files.

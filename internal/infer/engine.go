@@ -89,12 +89,9 @@ func NewEngine(core *oc.Core, poolN, inH, inW int, seed int64) (*Engine, error) 
 // buildDefault initialises, calibrates, quantization-prepares and
 // compiles one built-in network. Calibration planes come from the
 // fidelity-true CA path over structured scenes, so ActQuant scales match
-// what serving actually sees. A built-in never trains, so its gradient
-// buffers (as large as its weights) are released before any of that.
+// what serving actually sees. A built-in never trains, so it never
+// allocates gradient buffers.
 func buildDefault(core *oc.Core, name, desc string, net *nn.Sequential, poolN, inH, inW int, seed int64) (*Model, error) {
-	for _, p := range net.Params() {
-		p.Grad = nil
-	}
 	net.InitHe(seed)
 	if err := Calibrate(net, core, poolN, inH, inW, 4, oc.DeriveSeed(seed, 1)); err != nil {
 		return nil, fmt.Errorf("infer: %s: %w", name, err)

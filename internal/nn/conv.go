@@ -166,6 +166,7 @@ func (c *Conv2D) Backward(dy *Tensor) (*Tensor, error) {
 	n, h, w := x.Shape[0], x.Shape[2], x.Shape[3]
 	oh, ow := dy.Shape[2], dy.Shape[3]
 	wts := c.effectiveWeights()
+	gw, gb := c.W.Gradient(), c.B.Gradient()
 	dx := x.ZerosLike()
 	for b := 0; b < n; b++ {
 		for oc := 0; oc < c.OutC; oc++ {
@@ -175,7 +176,7 @@ func (c *Conv2D) Backward(dy *Tensor) (*Tensor, error) {
 					if g == 0 {
 						continue
 					}
-					c.B.Grad[oc] += g
+					gb[oc] += g
 					for ic := 0; ic < c.InC; ic++ {
 						wBase := ((oc*c.InC + ic) * c.K) * c.K
 						for ky := 0; ky < c.K; ky++ {
@@ -189,7 +190,7 @@ func (c *Conv2D) Backward(dy *Tensor) (*Tensor, error) {
 									continue
 								}
 								xi := x.At4(b, ic, iy, ix)
-								c.W.Grad[wBase+ky*c.K+kx] += g * xi
+								gw[wBase+ky*c.K+kx] += g * xi
 								dx.Set4(b, ic, iy, ix, dx.At4(b, ic, iy, ix)+g*wts[wBase+ky*c.K+kx])
 							}
 						}

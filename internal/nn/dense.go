@@ -106,6 +106,7 @@ func (d *Dense) Backward(dy *Tensor) (*Tensor, error) {
 	x := d.x
 	n := x.Shape[0]
 	wts := d.effectiveWeights()
+	gw, gb := d.W.Gradient(), d.B.Gradient()
 	dx := x.ZerosLike()
 	for b := 0; b < n; b++ {
 		xRow := x.Data[b*d.In : (b+1)*d.In]
@@ -116,9 +117,9 @@ func (d *Dense) Backward(dy *Tensor) (*Tensor, error) {
 			if g == 0 {
 				continue
 			}
-			d.B.Grad[o] += g
+			gb[o] += g
 			wRow := wts[o*d.In : (o+1)*d.In]
-			gwRow := d.W.Grad[o*d.In : (o+1)*d.In]
+			gwRow := gw[o*d.In : (o+1)*d.In]
 			for i, xi := range xRow {
 				gwRow[i] += g * xi
 				dxRow[i] += g * wRow[i]

@@ -410,13 +410,16 @@ func TestSequentialTrainsXORLike(t *testing.T) {
 func TestCloneSharedSharesWeightsNotGrads(t *testing.T) {
 	net := NewSequential(NewDense("d", 4, 2))
 	net.InitHe(1)
-	clone := net.CloneShared()
 	p0 := net.Params()[0]
+	// The master's gradient exists before the clone is made, so a clone
+	// that shared it would see it.
+	p0.Gradient()
+	clone := net.CloneShared()
 	p1 := clone.Params()[0]
 	if &p0.Data[0] != &p1.Data[0] {
 		t.Error("clone does not share weight storage")
 	}
-	p1.Grad[0] = 5
+	p1.Gradient()[0] = 5
 	if p0.Grad[0] == 5 {
 		t.Error("clone shares gradient storage")
 	}

@@ -104,17 +104,27 @@ func (t *Tensor) ShapeEquals(o *Tensor) bool {
 }
 
 // Param is a trainable parameter: shared weight storage plus a gradient
-// accumulator. Worker clones used by data-parallel training share Data
-// but own their Grad buffers.
+// accumulator, which Gradient allocates on first use, so a network that
+// never trains holds none. Worker clones used by data-parallel training
+// share Data but own their Grad buffers.
 type Param struct {
 	Name string
 	Data []float64
 	Grad []float64
 }
 
-// NewParam allocates a parameter of n elements.
+// NewParam allocates a parameter of n elements, without a gradient.
 func NewParam(name string, n int) *Param {
-	return &Param{Name: name, Data: make([]float64, n), Grad: make([]float64, n)}
+	return &Param{Name: name, Data: make([]float64, n)}
+}
+
+// Gradient returns the gradient accumulator, allocated zeroed on first
+// use.
+func (p *Param) Gradient() []float64 {
+	if p.Grad == nil {
+		p.Grad = make([]float64, len(p.Data))
+	}
+	return p.Grad
 }
 
 // ZeroGrad clears the gradient accumulator.
@@ -124,7 +134,8 @@ func (p *Param) ZeroGrad() {
 	}
 }
 
-// cloneShared returns a param sharing Data with a fresh Grad buffer.
+// cloneShared returns a param sharing Data, with a gradient of its own
+// once one is used.
 func (p *Param) cloneShared() *Param {
-	return &Param{Name: p.Name, Data: p.Data, Grad: make([]float64, len(p.Grad))}
+	return &Param{Name: p.Name, Data: p.Data}
 }

@@ -17,7 +17,10 @@
 // strict encoding/json decode, so both paths accept and reject the same
 // bodies and images (FuzzEnvelopeDecode and FuzzEnvelopeStream hold
 // them against each other). Every other body is read whole into a
-// pooled buffer and strict-decoded.
+// pooled buffer and strict-decoded. A session frame line is such a body:
+// the stream's line reader (frameLines, session.go) hands the decoder one
+// line at a time and ends it at its newline, so a line is never held
+// whole either.
 package server
 
 import (
@@ -129,12 +132,6 @@ func readEnvelope[T any](r *http.Request, v *T) (ingest, error) {
 		return ingest{}, fmt.Errorf("server: request body: %w", err)
 	}
 	return in, nil
-}
-
-// decodeEnvelope decodes one body held in data into v, by the decoder
-// readEnvelope runs on a body from the wire.
-func decodeEnvelope[T any](data []byte, v *T) (ingest, error) {
-	return decodeStream(bytes.NewReader(data), int64(len(data)), v)
 }
 
 // decodeStream decodes the body r delivers into v; hint is its declared

@@ -45,6 +45,12 @@ func processBody(tb testing.TB, h, w int, kernel string) []byte {
 	return body
 }
 
+// decodeEnvelope decodes one body held in data into v, by the decoder
+// readEnvelope runs on a body from the wire.
+func decodeEnvelope[T any](data []byte, v *T) (ingest, error) {
+	return decodeStream(bytes.NewReader(data), int64(len(data)), v)
+}
+
 // sameDecode decodes body as a T on the fast path and strictly, and
 // fails unless both give the same value (the streamed image's Pix taken
 // from the strict side, once sameScene has compared what each decodes

@@ -19,6 +19,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"lightator/internal/infer"
 	"lightator/internal/kernels"
@@ -170,6 +172,7 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 	// panic.
 	body := &frameBody{body: r.Body, rc: rc}
 	readerDone := make(chan struct{})
+	var sent sceneQueue
 	defer func() {
 		cancel()
 		// A writer without read deadlines cannot unblock the read; the
@@ -177,56 +180,39 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 		if body.stop() == nil {
 			<-readerDone
 		}
+		sent.drain()
 	}()
 
-	// The reader decodes NDJSON lines into scenes. It owns readErr (a
-	// buffered channel, so the send never blocks): a malformed line or a
-	// transport read failure is stream-fatal — the seed chain cannot
-	// skip the bad frame without renumbering everything behind it.
+	// The reader decodes NDJSON lines into pooled scenes. It owns readErr
+	// (a buffered channel, so the send never blocks): a malformed line or
+	// a transport read failure is stream-fatal — the seed chain cannot
+	// skip the bad frame without renumbering everything behind it. Each
+	// scene goes back to its pool once its frame's result is out.
 	in := make(chan *sensor.Image)
 	readErr := make(chan error, 1)
 	go func() {
 		defer close(readerDone)
 		defer close(in)
-		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 64<<10), maxBodyBytes)
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
+		lines := newFrameLines(body, maxBodyBytes)
+		for {
+			img, err := lines.frame()
+			if err == io.EOF {
+				return
 			}
-			// The line is the scanner's until the next Scan; the
-			// envelope decoder streams it like a body and keeps
-			// nothing of it.
-			var f SessionFrame
-			frame, err := decodeEnvelope(line, &f)
 			if err != nil {
-				readErr <- wrapErr(http.StatusBadRequest, CodeBadRequest, "malformed frame line", err)
+				readErr <- err
 				cancel()
 				return
 			}
-			img, err := frame.scene(&f.Scene, nil)
-			if err != nil {
-				readErr <- wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid frame scene", err)
-				cancel()
-				return
-			}
+			// Queued before it is sent, so the queue holds every scene
+			// the session may read; an unsent one goes back with the
+			// rest once the stream is over.
+			sent.push(img)
 			select {
 			case in <- img:
 			case <-ctx.Done():
-				putScene(img)
 				return
 			}
-		}
-		if err := sc.Err(); err != nil {
-			// A line over the cap gets the code a request body over the
-			// same cap gets.
-			if errors.Is(err, bufio.ErrTooLong) {
-				readErr <- wrapErr(http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "frame line over the 64 MB cap", err)
-			} else {
-				readErr <- wrapErr(http.StatusBadRequest, CodeBadRequest, "frame stream read failed", err)
-			}
-			cancel()
 		}
 	}()
 
@@ -239,6 +225,7 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 	wrote := false
 	kind := sess.Config().Kind
 	emit := func(fr session.FrameResult) error {
+		sent.done()
 		rec := SessionResult{Index: fr.Index, BlocksTotal: fr.Blocks, BlocksReused: fr.Reused, Degraded: s.degraded()}
 		if rec.Degraded {
 			s.m.degradedResp()
@@ -344,6 +331,264 @@ func (b *frameBody) stop() error {
 		return nil
 	}
 	return b.rc.SetReadDeadline(time.Now())
+}
+
+// errLineTooLong is the frame reader's error for a line over its cap.
+var errLineTooLong = errors.New("server: frame line too long")
+
+// frameLines reads a frame stream one NDJSON line at a time through one
+// fixed read buffer. next skips the blank space before a line; Read then
+// hands out the line's bytes, as decodeStream reads a body, and io.EOF at
+// its '\n'. A JSON string holds no raw newline, so the cut is exact.
+// Blank space is what unicode.IsSpace says, so a line reads as
+// bytes.TrimSpace would cut it: the blank run ending a line is withheld
+// until the line shows whether it goes on after it. Each physical line,
+// blank space and '\r' included, its '\n' not, must be shorter than
+// limit bytes.
+type frameLines struct {
+	br    *bufio.Reader
+	limit int
+	n     int   // bytes of the current physical line consumed
+	clean int   // buffered bytes known to hold no '\n'
+	err   error // the first read error, io.EOF at the end of the stream
+	eol   bool  // the line has been handed out to its end
+
+	// held is a blank run withheld from the line; once release is set,
+	// the line went on after it, and Read hands out held[sent:] first.
+	held    []byte
+	sent    int
+	release bool
+}
+
+func newFrameLines(r io.Reader, limit int) *frameLines {
+	return &frameLines{br: bufio.NewReaderSize(r, readWindow), limit: limit}
+}
+
+// frame decodes the stream's next line into a pooled scene. At the end
+// of the stream it returns io.EOF; otherwise an error ends the stream:
+// payload_too_large for a line over the cap, bad_request for a failed
+// read or a malformed line, invalid_image for a scene that does not
+// decode.
+func (l *frameLines) frame() (*sensor.Image, error) {
+	var f SessionFrame
+	var in ingest
+	ok, err := l.next()
+	if ok {
+		in, err = decodeStream(l, -1, &f)
+	} else if err == nil {
+		return nil, io.EOF
+	}
+	switch {
+	case err == errLineTooLong:
+		return nil, wrapErr(http.StatusRequestEntityTooLarge, CodePayloadTooLarge, "frame line over the 64 MB cap", err)
+	case l.err != nil && l.err != io.EOF:
+		return nil, wrapErr(http.StatusBadRequest, CodeBadRequest, "frame stream read failed", l.err)
+	case err != nil:
+		return nil, wrapErr(http.StatusBadRequest, CodeBadRequest, "malformed frame line", err)
+	}
+	img, err := in.scene(&f.Scene, nil)
+	if err != nil {
+		return nil, wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid frame scene", err)
+	}
+	return img, nil
+}
+
+// peek returns the buffered bytes, reading once more first when fewer
+// than want are buffered. When fewer than want are left, err is the
+// read error that ended the stream: io.EOF, or a failed read.
+func (l *frameLines) peek(want int) ([]byte, error) {
+	if l.err == nil {
+		if _, err := l.br.Peek(want); err != nil {
+			l.err = err
+		}
+	}
+	b, _ := l.br.Peek(l.br.Buffered())
+	if len(b) >= want {
+		return b, nil
+	}
+	return b, l.err
+}
+
+// discard consumes n buffered bytes of the current line.
+func (l *frameLines) discard(n int) {
+	l.br.Discard(n)
+	l.n += n
+	l.clean = max(l.clean-n, 0)
+}
+
+// newline returns the offset of the first '\n' in b, the buffered
+// bytes, or -1.
+func (l *frameLines) newline(b []byte) int {
+	if i := bytes.IndexByte(b[l.clean:], '\n'); i >= 0 {
+		return l.clean + i
+	}
+	l.clean = len(b)
+	return -1
+}
+
+// next skips the blank space, blank lines among it, before the stream's
+// next line and reports whether one follows.
+func (l *frameLines) next() (bool, error) {
+	l.eol = false
+	want := 1
+	for {
+		b, err := l.peek(want)
+		if err != nil && err != io.EOF {
+			return false, err
+		}
+		i := 0
+		for i < len(b) {
+			r, w := rune(b[i]), 1
+			if r >= utf8.RuneSelf {
+				if !utf8.FullRune(b[i:]) && err == nil {
+					break
+				}
+				r, w = utf8.DecodeRune(b[i:])
+			}
+			if !unicode.IsSpace(r) {
+				l.discard(i)
+				return true, nil
+			}
+			if r == '\n' {
+				l.discard(i + 1)
+				b, i, l.n = b[i+1:], 0, 0
+				continue
+			}
+			if l.n+i+w >= l.limit {
+				return false, errLineTooLong
+			}
+			i += w
+		}
+		l.discard(i)
+		if err == io.EOF {
+			return false, nil
+		}
+		// Read on; when a rune's first bytes are left, until it is whole.
+		want = len(b) - i + 1
+	}
+}
+
+// Read hands out the current line's bytes, up to its last non-blank
+// rune, then io.EOF.
+func (l *frameLines) Read(p []byte) (int, error) {
+	want := 1
+	for {
+		if l.release {
+			n := copy(p, l.held[l.sent:])
+			if l.sent += n; l.sent == len(l.held) {
+				l.held, l.sent, l.release = l.held[:0], 0, false
+			}
+			return n, nil
+		}
+		if l.eol {
+			return 0, io.EOF
+		}
+		b, err := l.peek(want)
+		if err != nil && err != io.EOF {
+			return 0, err
+		}
+		seg, nl := b, false
+		if i := l.newline(b); i >= 0 {
+			seg, nl = b[:i], true
+		}
+		if l.n+len(seg) >= l.limit {
+			return 0, errLineTooLong
+		}
+		// The line ends in seg when seg ends at its '\n' or the stream.
+		end := nl || err == io.EOF
+		if !end {
+			// A rune's first bytes wait for the rest: it may be blank.
+			seg = seg[:len(seg)-partialRune(seg)]
+		}
+		text := bytes.TrimRightFunc(seg, unicode.IsSpace)
+		run := seg[len(text):]
+		switch {
+		case len(text) > 0 && len(l.held) > 0:
+			l.release = true
+		case len(text) > 0:
+			n := copy(p, text)
+			l.discard(n)
+			if end && n == len(text) {
+				l.endLine(len(run), nl)
+			}
+			return n, nil
+		case end:
+			l.endLine(len(run), nl)
+			return 0, io.EOF
+		case len(run) > 0:
+			l.held = append(l.held, run...)
+			l.discard(len(run))
+			want = 1
+		default:
+			// Only a rune's first bytes are buffered.
+			want = len(b) + 1
+		}
+	}
+}
+
+// endLine drops the line's blank tail, the run of n buffered bytes and
+// any held one, and its '\n' when nl is set.
+func (l *frameLines) endLine(n int, nl bool) {
+	if nl {
+		n++
+	}
+	l.discard(n)
+	l.n, l.eol = 0, true
+	l.held, l.sent = l.held[:0], 0
+	if cap(l.held) > readWindow {
+		l.held = nil
+	}
+}
+
+// partialRune returns how many bytes at the end of b begin a UTF-8
+// sequence that more bytes could complete.
+func partialRune(b []byte) int {
+	for k := 1; k < utf8.UTFMax && k <= len(b); k++ {
+		if utf8.RuneStart(b[len(b)-k]) {
+			if utf8.FullRune(b[len(b)-k:]) {
+				return 0
+			}
+			return k
+		}
+	}
+	return 0
+}
+
+// sceneQueue holds the scenes a frame stream has sent its session, in
+// feed order, until their frames' results are out. The session emits
+// results in feed order, and capture, the one stage that reads a scene,
+// is done by then, so the oldest scene is the one a result releases.
+type sceneQueue struct {
+	mu     sync.Mutex
+	scenes []*sensor.Image
+}
+
+func (q *sceneQueue) push(im *sensor.Image) {
+	q.mu.Lock()
+	q.scenes = append(q.scenes, im)
+	q.mu.Unlock()
+}
+
+// done returns the oldest scene to its pool, once its result is out.
+func (q *sceneQueue) done() {
+	q.mu.Lock()
+	im := q.scenes[0]
+	q.scenes = append(q.scenes[:0], q.scenes[1:]...)
+	q.mu.Unlock()
+	putScene(im)
+}
+
+// drain returns every queued scene to its pool once the session has
+// stopped and the reader is done: the frames a session drops after a
+// failed write emit no result, and the reader's last scene may be
+// unsent.
+func (q *sceneQueue) drain() {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for _, im := range q.scenes {
+		putScene(im)
+	}
+	q.scenes = nil
 }
 
 // streamFatal reports a stream-ending condition: as a plain HTTP error

@@ -53,8 +53,9 @@ func (o *SGD) Step(params []*nn.Param) {
 			v = make([]float64, len(p.Data))
 			o.velocity[p] = v
 		}
+		grad := p.Gradient()
 		for i := range p.Data {
-			g := p.Grad[i] + o.WeightDecay*p.Data[i]
+			g := grad[i] + o.WeightDecay*p.Data[i]
 			v[i] = o.Momentum*v[i] - o.LR*g
 			p.Data[i] += v[i]
 		}
@@ -315,8 +316,9 @@ func trainEpoch(net *nn.Sequential, ds Dataset, cfg Config, opt *SGD, rng *rand.
 			scale := float64(mbs[m].count) / float64(total)
 			for pi, p := range masterParams {
 				g := mbs[m].grads[pi]
-				for i := range p.Grad {
-					p.Grad[i] += g[i] * scale
+				grad := p.Gradient()
+				for i := range grad {
+					grad[i] += g[i] * scale
 				}
 			}
 			totalLoss += mbs[m].loss * scale

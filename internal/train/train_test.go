@@ -13,7 +13,7 @@ import (
 func TestSGDStepMomentum(t *testing.T) {
 	p := nn.NewParam("w", 2)
 	p.Data[0] = 1
-	p.Grad[0] = 1
+	p.Gradient()[0] = 1
 	opt := NewSGD(0.1, 0.9, 0)
 	opt.Step([]*nn.Param{p})
 	if p.Data[0] != 0.9 {
