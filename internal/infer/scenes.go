@@ -94,8 +94,8 @@ func CalibrationPlanes(core *oc.Core, poolN, h, w, batch int, seed int64) ([]*se
 		return nil, fmt.Errorf("infer: calibration CA: %w", err)
 	}
 	scenes := NewDisks(batch, h*poolN, w*poolN, seed)
-	// Capture reads the scene whole into the sensor's latch, so one buffer
-	// serves every scene of the batch.
+	// Capture has read the scene by the time it returns its frame, so one
+	// buffer serves every scene of the batch.
 	scene := sensor.NewImage(h*poolN, w*poolN, 3)
 	planes := make([]*sensor.Image, batch)
 	for i := range planes {

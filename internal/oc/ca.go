@@ -141,7 +141,7 @@ func (a *Acquisitor) CompressSeeded(f *sensor.Frame, seed int64) (*sensor.Image,
 	ap := a.pm.applier()
 	defer ap.Release()
 	// Intensity table: lut[c] is exactly Frame.Intensity's division for
-	// code c. Codes above the CRC range (impossible from ReadFrame, but
+	// code c. Codes above the CRC range (impossible from Capture, but
 	// reachable from hand-built frames) fall back to the live division.
 	var lut [analog.NumComparators + 1]float64
 	for c := range lut {

@@ -471,8 +471,7 @@ func TestAcquisitorPool4(t *testing.T) {
 func TestAcquisitorRejectsIndivisibleFrame(t *testing.T) {
 	core, _ := NewCore(4, 4, Ideal)
 	ca, _ := NewAcquisitor(core, 4)
-	arr, _ := sensor.NewArray(6, 6)
-	frame := arr.ReadFrame()
+	frame := &sensor.Frame{Rows: 6, Cols: 6, Codes: make([]uint8, 6*6)}
 	if _, err := ca.CompressSeeded(frame, 0); err == nil {
 		t.Error("6x6 frame with pool 4 accepted")
 	}

@@ -1,6 +1,6 @@
 //go:build !race
 
-// Steady-state allocation pin for the sensor latches. The race detector
+// Allocation pin for the latch-free capture. The race detector
 // instruments allocations and drops pooled values at random, so this
 // runs only in the plain test pass (make alloc, CI's non-race step).
 package pipeline
@@ -12,11 +12,12 @@ import (
 	"lightator/internal/oc"
 )
 
-// TestRunSeededLatchAllocFree pins the latch pool: once it is warm, a
-// one-frame 256x256 RunSeeded through capture and CA allocates less than
-// the one 512 KiB sensor latch that cloning the prototype per worker per
-// run used to cost. What is left is the frame's codes (64 KiB), the CA
-// plane (128 KiB) and bookkeeping.
+// TestRunSeededLatchAllocFree pins capture to no per-worker sensor
+// state: a one-frame 256x256 RunSeeded through capture and CA allocates
+// less than one 512 KiB V_PD latch (the per-worker array clone capture
+// once needed), both on a fresh pipeline's first frame and once warm.
+// What is left is the frame's codes (64 KiB), the CA plane (128 KiB)
+// and bookkeeping.
 func TestRunSeededLatchAllocFree(t *testing.T) {
 	// sync.Pool keeps a per-P private slot that other Ps cannot steal,
 	// so one P measures the steady state itself.
@@ -36,17 +37,24 @@ func TestRunSeededLatchAllocFree(t *testing.T) {
 			t.Fatal(err, res[0].Err)
 		}
 	}
-	runOnce() // warm the latch pool
+	const latch = 8 * 256 * 256
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	runOnce()
+	runtime.ReadMemStats(&after)
+	first := after.TotalAlloc - before.TotalAlloc
+	t.Logf("%d bytes allocated by a fresh pipeline's first frame", first)
+	if first >= latch {
+		t.Fatalf("a fresh pipeline's first frame allocated %d bytes, want < %d (one sensor latch)", first, latch)
+	}
 
 	const runs = 20
-	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for range runs {
 		runOnce()
 	}
 	runtime.ReadMemStats(&after)
 	perFrame := float64(after.TotalAlloc-before.TotalAlloc) / runs
-	const latch = 8 * 256 * 256
 	t.Logf("%.0f bytes allocated per frame (latch %d)", perFrame, latch)
 	if perFrame >= latch {
 		t.Fatalf("a warm frame allocated %.0f bytes, want < %d (one sensor latch)", perFrame, latch)

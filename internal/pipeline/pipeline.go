@@ -20,10 +20,11 @@
 //     1-worker run — goroutine scheduling can never change a result,
 //     even in PhysicalNoisy fidelity.
 //
-//   - Isolation: the sensor Array latches exposure state, so each worker
-//     holds its own array, a clone of the prototype recycled through the
-//     Pipeline's latch pool; the programmed MR banks (CA weights and the
-//     optional MVM matrix) are immutable after programming and shared.
+//   - Isolation: the device models workers share are immutable. The
+//     sensor Array latches no exposure state (each pixel's code depends
+//     only on its own light), so every worker captures through the one
+//     prototype; the programmed MR banks (CA weights and the optional MVM
+//     matrix) are immutable after programming and shared too.
 package pipeline
 
 import (
@@ -104,9 +105,9 @@ type Config struct {
 	// Core executes the CA and MVM stages; required when either is
 	// enabled.
 	Core *oc.Core
-	// Array, when non-nil, is the sensor prototype the workers clone
-	// (preserving its device models); its dimensions override Rows/Cols.
-	// When nil a default array of Rows x Cols is built.
+	// Array, when non-nil, is the sensor every worker captures through
+	// (it is immutable, so they share it); its dimensions override
+	// Rows/Cols. When nil a default array of Rows x Cols is built.
 	Array *sensor.Array
 	// FaultPlan, when non-nil, is the chaos plan whose sensor-side
 	// comparator faults the capture stage injects (optical-core faults
@@ -166,11 +167,6 @@ type Pipeline struct {
 	ca    *oc.Acquisitor
 	pm    *oc.ProgrammedMatrix
 	proto *sensor.Array
-	// latches recycles the workers' clones of proto between runs: a
-	// 256x256 latch is 512 KB, too large to allocate per worker per
-	// micro-batch. Capture overwrites the whole latch, so a reused one
-	// carries nothing over.
-	latches sync.Pool
 	// sensorFaults are the chaos plan's comparator stuck-ats, applied to
 	// the captured frame codes before any optical stage (nil in the
 	// common no-chaos case — a zero-cost branch per frame).
@@ -207,7 +203,6 @@ func New(cfg Config) (*Pipeline, error) {
 		proto = arr
 	}
 	p := &Pipeline{cfg: cfg, proto: proto}
-	p.latches.New = func() any { return proto.Clone() }
 	if cfg.CAPool != 0 || cfg.Weights != nil || cfg.Kernel != nil || cfg.Infer != nil {
 		if cfg.Core == nil {
 			return nil, fmt.Errorf("pipeline: CA/MVM/kernel/infer stages enabled but no optical core configured")
@@ -381,7 +376,7 @@ func (p *Pipeline) injectSensorFaults(f *sensor.Frame, frameSeed int64) {
 // processFrame runs every enabled stage for one frame on one worker.
 // frameSeed is the frame's top-level noise seed; stages derive children
 // from it.
-func (p *Pipeline) processFrame(arr *sensor.Array, idx int, frameSeed int64, scene *sensor.Image, st *Stats) (res Result) {
+func (p *Pipeline) processFrame(idx int, frameSeed int64, scene *sensor.Image, st *Stats) (res Result) {
 	res = Result{Index: idx, Ops: p.ops}
 	st.Frames++
 	// The degraded flag reflects component health after this frame's own
@@ -390,7 +385,7 @@ func (p *Pipeline) processFrame(arr *sensor.Array, idx int, frameSeed int64, sce
 	defer func() { res.Degraded = p.degraded() }()
 
 	t0 := time.Now()
-	frame, err := arr.Capture(scene)
+	frame, err := p.proto.Capture(scene)
 	res.CaptureTime = time.Since(t0)
 	st.Capture.Observe(res.CaptureTime)
 	if err != nil {
@@ -485,7 +480,7 @@ type job struct {
 // run is the shared engine: it drains jobs with the worker pool, hands
 // each Result to emit, and returns the merged run stats. known caps the
 // pool when the caller knows the job count up front (a micro-batch of 2
-// frames should not hold NumCPU sensor latches); 0 means unknown.
+// frames should not start NumCPU workers); 0 means unknown.
 func (p *Pipeline) run(known int, jobs <-chan job, emit func(Result)) *Stats {
 	start := time.Now()
 	workers := p.cfg.Workers
@@ -499,15 +494,13 @@ func (p *Pipeline) run(known int, jobs <-chan job, emit func(Result)) *Stats {
 	for w := 0; w < workers; w++ {
 		st := &Stats{}
 		locals[w] = st
-		arr := p.latches.Get().(*sensor.Array)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer p.latches.Put(arr)
 			for j := range jobs {
 				// emit targets either a distinct slice index or a
 				// channel — both safe from concurrent workers.
-				emit(p.processFrame(arr, j.idx, j.seed, j.scene, st))
+				emit(p.processFrame(j.idx, j.seed, j.scene, st))
 			}
 		}()
 	}

@@ -91,15 +91,15 @@ func BayerChannelAt(y, x int) BayerChannel {
 }
 
 // Array is the 256x256 global-shutter pixel array plus its readout chain.
-// Expose captures the whole frame in one shutter event (global shutter:
-// every pixel integrates over the same interval), and ReadFrame converts
-// pixel voltages to 4-bit codes through the per-column CRC units.
+// Capture exposes every pixel over the same interval (global shutter) and
+// converts each pixel voltage to a 4-bit code through the per-column CRC
+// units. A pixel's code depends only on its own light, so nothing is
+// latched between the two: an Array is immutable after construction and
+// safe for concurrent use.
 type Array struct {
 	Rows, Cols int
 	PD         analog.Photodiode
 	CRC        *analog.CRC
-
-	vpd []float64 // latched pixel voltages from the last exposure
 }
 
 // DefaultRows/DefaultCols are the paper's sensor dimensions.
@@ -118,7 +118,6 @@ func NewArray(rows, cols int) (*Array, error) {
 		Cols: cols,
 		PD:   analog.DefaultPhotodiode(),
 		CRC:  analog.DefaultCRC(),
-		vpd:  make([]float64, rows*cols),
 	}, nil
 }
 
@@ -129,72 +128,6 @@ func Default() *Array {
 		panic(err) // unreachable: constant dimensions are valid
 	}
 	return a
-}
-
-// Clone returns an array sharing this one's device models (the PD and
-// CRC are read-only after construction) but with its own exposure latch,
-// so clones can capture concurrently. Capture mutates the latched pixel
-// voltages, which is why a single Array must not be shared between
-// goroutines — each pipeline worker clones its own.
-func (a *Array) Clone() *Array {
-	return &Array{
-		Rows: a.Rows,
-		Cols: a.Cols,
-		PD:   a.PD,
-		CRC:  a.CRC,
-		vpd:  make([]float64, a.Rows*a.Cols),
-	}
-}
-
-// Expose latches V_PD for every pixel from a raw (mosaicked, single-plane)
-// frame. The scene must match the array dimensions.
-func (a *Array) Expose(raw *Image) error {
-	if raw.C != 1 {
-		return fmt.Errorf("sensor: expose needs a raw single-plane frame, have %d channels", raw.C)
-	}
-	if raw.H != a.Rows || raw.W != a.Cols {
-		return fmt.Errorf("sensor: frame %dx%d does not match array %dx%d", raw.H, raw.W, a.Rows, a.Cols)
-	}
-	for y := 0; y < a.Rows; y++ {
-		for x := 0; x < a.Cols; x++ {
-			a.vpd[y*a.Cols+x] = a.PD.Voltage(raw.At(y, x, 0))
-		}
-	}
-	return nil
-}
-
-// ExposeRGB mosaics an RGB scene through the Bayer filter and exposes it.
-// The mosaic is fused into the exposure loop — each site reads its
-// Bayer channel (BayerChannelAt) straight from the scene without
-// materializing the intermediate raw plane, since Capture runs once per
-// pipeline frame.
-func (a *Array) ExposeRGB(scene *Image) error {
-	if scene.C != 3 {
-		return fmt.Errorf("sensor: mosaic needs an RGB scene, have %d channels", scene.C)
-	}
-	if scene.H != a.Rows || scene.W != a.Cols {
-		return fmt.Errorf("sensor: frame %dx%d does not match array %dx%d", scene.H, scene.W, a.Rows, a.Cols)
-	}
-	for y := 0; y < a.Rows; y++ {
-		rowBase := y * a.Cols
-		for x := 0; x < a.Cols; x++ {
-			// Clip to [0,1] exactly as the materialized path did via
-			// Image.Set (the Bayer filter cannot emit over-range light).
-			v := scene.Pix[(rowBase+x)*3+int(BayerChannelAt(y, x))]
-			if v < 0 {
-				v = 0
-			} else if v > 1 {
-				v = 1
-			}
-			a.vpd[rowBase+x] = a.PD.Voltage(v)
-		}
-	}
-	return nil
-}
-
-// Voltage returns the latched V_PD at pixel (y, x).
-func (a *Array) Voltage(y, x int) float64 {
-	return a.vpd[y*a.Cols+x]
 }
 
 // Frame is a readout result: 4-bit codes per pixel plus the Bayer layout
@@ -214,23 +147,33 @@ func (f *Frame) Intensity(y, x int) float64 {
 	return float64(f.CodeAt(y, x)) / float64(analog.NumComparators)
 }
 
-// ReadFrame converts every latched pixel voltage into its 4-bit CRC code.
-// This is the ADC-less readout: 15 comparisons per pixel, no ADC ramp, no
-// sense amplifiers.
-func (a *Array) ReadFrame() *Frame {
-	f := &Frame{Rows: a.Rows, Cols: a.Cols, Codes: make([]uint8, a.Rows*a.Cols)}
-	for i, v := range a.vpd {
-		f.Codes[i] = uint8(a.CRC.Code(v))
-	}
-	return f
-}
-
-// Capture is the convenience path: mosaic, expose and read an RGB scene.
+// Capture mosaics an RGB scene through the Bayer filter (each site reads
+// its BayerChannelAt sample, clipped to [0,1]: the filter cannot emit
+// over-range light), exposes it and reads every pixel out as its 4-bit
+// CRC code in one walk. This is the ADC-less readout: 15 comparisons per
+// pixel, no ADC ramp, no sense amplifiers. The frame holds its own
+// codes, so later changes to the scene leave it untouched.
 func (a *Array) Capture(scene *Image) (*Frame, error) {
-	if err := a.ExposeRGB(scene); err != nil {
-		return nil, err
+	if scene.C != 3 {
+		return nil, fmt.Errorf("sensor: mosaic needs an RGB scene, have %d channels", scene.C)
 	}
-	return a.ReadFrame(), nil
+	if scene.H != a.Rows || scene.W != a.Cols {
+		return nil, fmt.Errorf("sensor: frame %dx%d does not match array %dx%d", scene.H, scene.W, a.Rows, a.Cols)
+	}
+	f := &Frame{Rows: a.Rows, Cols: a.Cols, Codes: make([]uint8, a.Rows*a.Cols)}
+	for y := 0; y < a.Rows; y++ {
+		rowBase := y * a.Cols
+		for x := 0; x < a.Cols; x++ {
+			v := scene.Pix[(rowBase+x)*3+int(BayerChannelAt(y, x))]
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+			f.Codes[rowBase+x] = uint8(a.CRC.Code(a.PD.Voltage(v)))
+		}
+	}
+	return f, nil
 }
 
 // ComparisonsPerFrame returns the number of comparator evaluations one

@@ -2,6 +2,7 @@ package sensor
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -110,10 +111,10 @@ func TestArrayValidation(t *testing.T) {
 		t.Error("zero rows accepted")
 	}
 	a, _ := NewArray(4, 4)
-	if err := a.Expose(NewImage(4, 4, 3)); err == nil {
-		t.Error("RGB frame accepted by Expose")
+	if _, err := a.Capture(NewImage(4, 4, 1)); err == nil {
+		t.Error("single-channel scene accepted by Capture")
 	}
-	if err := a.Expose(NewImage(8, 8, 1)); err == nil {
+	if _, err := a.Capture(NewImage(8, 8, 3)); err == nil {
 		t.Error("size mismatch accepted")
 	}
 }
@@ -187,16 +188,91 @@ func TestGlobalShutterLatching(t *testing.T) {
 	for c := 0; c < 3; c++ {
 		scene.Set(0, 0, c, 1)
 	}
-	if err := a.ExposeRGB(scene); err != nil {
+	f, err := a.Capture(scene)
+	if err != nil {
 		t.Fatal(err)
 	}
-	v := a.Voltage(0, 0)
-	// Mutating the scene after exposure must not change latched voltages
-	// (global shutter semantics).
+	code := f.CodeAt(0, 0)
+	// Mutating the scene after capture must not change the captured
+	// frame (global shutter semantics).
 	for c := 0; c < 3; c++ {
 		scene.Set(0, 0, c, 0)
 	}
-	if a.Voltage(0, 0) != v {
-		t.Error("latched voltage changed after exposure")
+	if f.CodeAt(0, 0) != code {
+		t.Error("captured code changed after the scene did")
+	}
+}
+
+// latchedArray is the reference readout Capture replaced: mosaic and
+// expose the whole scene into a V_PD latch, then read every latched
+// voltage out through the CRC.
+type latchedArray struct {
+	*Array
+	vpd []float64
+}
+
+func (a *latchedArray) exposeRGB(scene *Image) {
+	a.vpd = make([]float64, a.Rows*a.Cols)
+	for y := 0; y < a.Rows; y++ {
+		for x := 0; x < a.Cols; x++ {
+			v := scene.Pix[(y*a.Cols+x)*3+int(BayerChannelAt(y, x))]
+			if v < 0 {
+				v = 0
+			} else if v > 1 {
+				v = 1
+			}
+			a.vpd[y*a.Cols+x] = a.PD.Voltage(v)
+		}
+	}
+}
+
+func (a *latchedArray) readFrame() *Frame {
+	f := &Frame{Rows: a.Rows, Cols: a.Cols, Codes: make([]uint8, a.Rows*a.Cols)}
+	for i, v := range a.vpd {
+		f.Codes[i] = uint8(a.CRC.Code(v))
+	}
+	return f
+}
+
+// TestCaptureMatchesLatchedReference holds the one-walk Capture against
+// the expose→latch→readout reference over seeded scenes that include
+// out-of-range, infinite and NaN samples.
+func TestCaptureMatchesLatchedReference(t *testing.T) {
+	specials := []float64{-0.5, -1e-300, 0, 1, 1 + 1e-12, 2, math.Inf(1), math.Inf(-1), math.NaN()}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rows, cols := 3+rng.Intn(14), 3+rng.Intn(14)
+		a, err := NewArray(rows, cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scene := NewImage(rows, cols, 3)
+		for i := range scene.Pix {
+			if rng.Intn(5) == 0 {
+				scene.Pix[i] = specials[rng.Intn(len(specials))]
+			} else {
+				scene.Pix[i] = rng.Float64()*1.4 - 0.2
+			}
+		}
+		// Every special value also lands on a site the mosaic reads.
+		for k, v := range specials {
+			y, x := k/cols, k%cols
+			scene.Pix[k*3+int(BayerChannelAt(y, x))] = v
+		}
+		got, err := a.Capture(scene)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := &latchedArray{Array: a}
+		ref.exposeRGB(scene)
+		want := ref.readFrame()
+		if got.Rows != want.Rows || got.Cols != want.Cols {
+			t.Fatalf("seed %d: frame %dx%d, want %dx%d", seed, got.Rows, got.Cols, want.Rows, want.Cols)
+		}
+		for i := range want.Codes {
+			if got.Codes[i] != want.Codes[i] {
+				t.Fatalf("seed %d: pixel %d code %d, want %d", seed, i, got.Codes[i], want.Codes[i])
+			}
+		}
 	}
 }

@@ -16,15 +16,18 @@
 // # Batched frame streams
 //
 // The single-scene paths above process one frame on the calling
-// goroutine. For frame streams — the workload the paper's FPS numbers
-// are about — the facade exposes a bounded worker-pool pipeline
-// (internal/pipeline) that runs Capture, Compressive Acquisition and an
-// optional programmed MVM concurrently with per-frame deterministic
-// noise seeding, so N-worker output is bit-identical to the 1-worker
-// pipeline run even in PhysicalNoisy fidelity. (The batched paths seed
-// noise per frame, so in PhysicalNoisy they intentionally differ from
-// the shared-stream single-scene calls above — determinism, not stream
-// continuity, is the contract.)
+// goroutine. The sensor array is immutable (capture latches no pixel
+// voltage between exposure and readout), so goroutines may call Capture
+// on one Accelerator at once. For frame streams — the workload the
+// paper's FPS numbers are about — the facade exposes a bounded
+// worker-pool pipeline (internal/pipeline) that runs Capture,
+// Compressive Acquisition and an optional programmed MVM concurrently
+// with per-frame deterministic noise seeding, so N-worker output is
+// bit-identical to the 1-worker pipeline run even in PhysicalNoisy
+// fidelity. (The batched paths seed noise per frame, so in
+// PhysicalNoisy they intentionally differ from the shared-stream
+// single-scene calls above — determinism, not stream continuity, is the
+// contract.)
 //
 //	p, _ := acc.NewPipeline(lightator.PipelineOptions{Workers: 4})
 //	results, stats, _ := p.Run(scenes)        // ordered batch
@@ -352,7 +355,8 @@ func (a *Accelerator) Health() []ComponentHealth { return a.core.Health().Snapsh
 func (a *Accelerator) Degraded() bool { return a.core.Health().Degraded() }
 
 // Capture exposes the ADC-less acquisition path: Bayer mosaic, global-
-// shutter exposure and 15-comparator CRC readout to 4-bit codes.
+// shutter exposure and 15-comparator CRC readout to 4-bit codes. The
+// sensor holds no state between captures, so concurrent calls are safe.
 func (a *Accelerator) Capture(scene *Image) (*Frame, error) {
 	return a.array.Capture(scene)
 }
@@ -453,8 +457,9 @@ func (a *Accelerator) NewPipeline(opts PipelineOptions) (*Pipeline, error) {
 		Kernel:  kern,
 		Infer:   inferModel,
 		Core:    a.core,
-		// Workers clone the accelerator's own array, so pipeline capture
-		// uses the same device models as the serial Capture path.
+		// Workers share the accelerator's own (immutable) array, so
+		// pipeline capture uses the same device models as the serial
+		// Capture path.
 		Array: a.array,
 	})
 }
@@ -524,7 +529,7 @@ func (a *Accelerator) cachedPipeline(opts PipelineOptions) (*Pipeline, error) {
 }
 
 // CaptureBatch captures a batch of scenes across `workers` goroutines
-// (each worker owns a clone of the sensor array), returning frames in
+// (all sharing the one immutable sensor array), returning frames in
 // input order.
 func (a *Accelerator) CaptureBatch(scenes []*Image, workers int) ([]*Frame, error) {
 	return runBatch(a, PipelineOptions{Workers: workers, DisableCA: true}, scenes,

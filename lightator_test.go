@@ -2,6 +2,8 @@ package lightator
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -248,6 +250,55 @@ func TestCaptureBatchMatchesSerial(t *testing.T) {
 			if frames[i].Codes[j] != want.Codes[j] {
 				t.Fatalf("frame %d code %d: batch %d != serial %d", i, j, frames[i].Codes[j], want.Codes[j])
 			}
+		}
+	}
+}
+
+// TestCaptureConcurrentMatchesSerial captures from two goroutines on
+// one accelerator at once, each with its own scene, and requires every
+// frame to equal that scene's serial capture: the sensor keeps no state
+// between captures for the goroutines to trample.
+func TestCaptureConcurrentMatchesSerial(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.CAPool = 0 // capture only
+	acc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scenes := batchScenes(2, cfg.SensorRows, cfg.SensorCols)
+	want := make([]*Frame, len(scenes))
+	for g, s := range scenes {
+		if want[g], err = acc.Capture(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const calls = 50
+	diffs := make([]int, len(scenes))
+	errs := make([]error, len(scenes))
+	var wg sync.WaitGroup
+	for g, s := range scenes {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range calls {
+				f, err := acc.Capture(s)
+				if err != nil {
+					errs[g] = err
+					return
+				}
+				if !slices.Equal(f.Codes, want[g].Codes) {
+					diffs[g]++
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for g := range scenes {
+		if errs[g] != nil {
+			t.Fatal(errs[g])
+		}
+		if diffs[g] != 0 {
+			t.Errorf("goroutine %d: %d of %d concurrent frames differ from the serial capture", g, diffs[g], calls)
 		}
 	}
 }
