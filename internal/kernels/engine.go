@@ -17,9 +17,10 @@ type Engine struct {
 
 // aliases maps each accepted alias to the registered operator it
 // resolves to. Names stay on the wire once served, so the retired
-// solvers of the CA least-squares system — the factorized Gram solve and
-// Landweber iteration — answer as the closed form they computed.
+// solvers of the CA least-squares system — the factorized Gram solve,
+// Landweber iteration and CGNR — answer as the closed form they solved for.
 var aliases = map[string]string{
+	"reconstruct-cg":     "reconstruct",
 	"reconstruct-direct": "reconstruct",
 	"reconstruct-iter":   "reconstruct",
 }
@@ -46,15 +47,14 @@ func Aliases() []string {
 // NewEngine builds the registry over the core for a CA pooling factor of
 // poolN (even, >= 2 — the compressed plane's provenance). Built-ins:
 //
-//	reconstruct     closed-form least-squares expansion to the full plane
-//	reconstruct-cg  CGNR iterative reconstruction with convergence stopping
-//	edge            3x3 Laplacian edge detector (signed output)
-//	downsample2x    2x2 average pooling, stride 2 (compounds the CA ratio)
-//	denoise         3x3 Gaussian blur
-//	sharpen         3x3 unsharp mask, built through the generic BlockConv path
+//	reconstruct   closed-form least-squares expansion to the full plane
+//	edge          3x3 Laplacian edge detector (signed output)
+//	downsample2x  2x2 average pooling, stride 2 (compounds the CA ratio)
+//	denoise       3x3 Gaussian blur
+//	sharpen       3x3 unsharp mask, built through the generic BlockConv path
 //
-// plus the aliases reconstruct-direct and reconstruct-iter, which
-// resolve to reconstruct.
+// plus the aliases reconstruct-cg, reconstruct-direct and
+// reconstruct-iter, which resolve to reconstruct.
 func NewEngine(core *oc.Core, poolN int) (*Engine, error) {
 	if core == nil {
 		return nil, fmt.Errorf("kernels: engine needs an optical core")
@@ -62,10 +62,6 @@ func NewEngine(core *oc.Core, poolN int) (*Engine, error) {
 	e := &Engine{kernels: make(map[string]Kernel)}
 
 	rec, err := NewReconstruct(core, poolN)
-	if err != nil {
-		return nil, err
-	}
-	cg, err := NewReconstructCG(core, poolN, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +89,7 @@ func NewEngine(core *oc.Core, poolN int) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, k := range []Kernel{rec, cg, edge, down, den, sharp} {
+	for _, k := range []Kernel{rec, edge, down, den, sharp} {
 		if err := e.Register(k); err != nil {
 			return nil, err
 		}

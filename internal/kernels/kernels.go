@@ -7,17 +7,12 @@
 // inherit the analog fidelity model, the per-window seeded determinism of
 // CompressSeeded, and the batch sharding of MatVecBatch.
 //
-// Two operator shapes cover the built-in kernels:
-//
-//   - Windowed linear operators (LinOp): a small matrix programmed once
-//     onto the MR banks and streamed over sliding windows of the
-//     compressed plane — edge detection, denoising, 2x downsampling,
-//     arbitrary block convolution, and closed-form least-squares
-//     reconstruction (the adjoint of the CA matrix over its Gram factor).
-//
-//   - Iterative operators (CGOp): conjugate-gradient reconstruction,
-//     which alternates optical applications of the CA forward matrix and
-//     its adjoint, accumulating digitally between passes.
+// Every built-in kernel is one operator shape, the windowed linear
+// operator (LinOp): a small matrix programmed once onto the MR banks and
+// streamed over sliding windows of the compressed plane — edge
+// detection, denoising, 2x downsampling, arbitrary block convolution,
+// and closed-form least-squares reconstruction (the adjoint of the CA
+// matrix over its Gram factor, the exact solve in one optical pass).
 //
 // Determinism contract: Apply(plane, seed, workers) is bit-identical for
 // any worker count and any interleaving — window j of the output draws
@@ -36,6 +31,14 @@ import (
 // Kernel is one compressed-domain operator. Implementations must be safe
 // for concurrent use after construction (the programmed MR banks are
 // immutable) and must honour the package determinism contract.
+//
+// A kernel's output decomposes into independent windows with a local
+// receptive field. The streaming session layer (internal/session) uses
+// that for block-level temporal reuse: when consecutive compressed planes
+// differ only inside some blocks, only the windows whose receptive fields
+// touch those blocks need recomputing; every other window's output is
+// carried forward bit-exactly (window outputs depend only on their own
+// input rectangle, and deterministic fidelities are seed-independent).
 type Kernel interface {
 	// Name is the registry key (and the /v1/process "kernel" field).
 	Name() string
@@ -59,6 +62,33 @@ type Kernel interface {
 	// accounting (see internal/trace). Derived from the programmed
 	// geometry, never measured, so it is cheap and exact.
 	Ops(h, w int) (trace.OpCounts, error)
+	// Windows returns the window-grid dimensions for an h x w input
+	// plane; window (wy, wx) is index j = wy*ww + wx.
+	Windows(h, w int) (wh, ww int, err error)
+	// WindowInput returns the half-open input rectangle
+	// [y0, y1) x [x0, x1) window (wy, wx) reads. Padding may push the
+	// rectangle outside the plane; out-of-plane taps are zero and carry
+	// no content, so callers may clip freely.
+	WindowInput(wy, wx int) (y0, x0, y1, x1 int)
+	// ApplyWindows recomputes only the windows with sel[j] true into
+	// out (which must have the OutDims shape for plane), leaving every
+	// other output sample untouched. The noise derivation matches
+	// Apply exactly — window j draws from oc.DeriveSeed(seed, j) — so
+	// recomputed windows are bit-identical to a full Apply for any
+	// worker count.
+	ApplyWindows(out, plane *sensor.Image, seed int64, workers int, sel []bool) error
+}
+
+// SolverStats is the metering hook of an iterative kernel: PassTotals
+// reports how many optical passes all Apply calls so far have executed
+// and over how many compressed samples. No kernel implements it since
+// the CGNR loop was retired (reconstruct-cg is an alias of the one-pass
+// closed form); it stays only because the end-to-end bench's replay
+// (bench/chain.go) still type-asserts it for its
+// kernels.reconstruct-cg.passes_per_sample row, which now reads 0 over
+// 0 samples. Drop the interface together with that row and the replay.
+type SolverStats interface {
+	PassTotals() (passes, samples uint64)
 }
 
 // LinOp is a windowed linear operator: a (block² x k²) matrix applied to
@@ -271,44 +301,17 @@ func (o *LinOp) Apply(plane *sensor.Image, seed int64, workers int) (*sensor.Ima
 	return out, nil
 }
 
-// WindowedOp is the optional capability of kernels whose output
-// decomposes into independent windows with a local receptive field —
-// the hook the streaming session layer (internal/session) uses for
-// block-level temporal reuse: when consecutive compressed planes differ
-// only inside some blocks, only the windows whose receptive fields
-// touch those blocks need recomputing; every other window's output is
-// carried forward bit-exactly (window outputs depend only on their own
-// input rectangle, and deterministic fidelities are seed-independent).
-type WindowedOp interface {
-	Kernel
-	// Windows returns the window-grid dimensions for an h x w input
-	// plane; window (wy, wx) is index j = wy*ww + wx.
-	Windows(h, w int) (wh, ww int, err error)
-	// WindowInput returns the half-open input rectangle
-	// [y0, y1) x [x0, x1) window (wy, wx) reads. Padding may push the
-	// rectangle outside the plane; out-of-plane taps are zero and carry
-	// no content, so callers may clip freely.
-	WindowInput(wy, wx int) (y0, x0, y1, x1 int)
-	// ApplyWindows recomputes only the windows with sel[j] true into
-	// out (which must have the OutDims shape for plane), leaving every
-	// other output sample untouched. The noise derivation matches
-	// Apply exactly — window j draws from oc.DeriveSeed(seed, j) — so
-	// recomputed windows are bit-identical to a full Apply for any
-	// worker count.
-	ApplyWindows(out, plane *sensor.Image, seed int64, workers int, sel []bool) error
-}
-
-// Windows implements WindowedOp.
+// Windows implements Kernel.
 func (o *LinOp) Windows(h, w int) (int, int, error) { return o.winDims(h, w) }
 
-// WindowInput implements WindowedOp.
+// WindowInput implements Kernel.
 func (o *LinOp) WindowInput(wy, wx int) (y0, x0, y1, x1 int) {
 	y0 = wy*o.stride - o.pad
 	x0 = wx*o.stride - o.pad
 	return y0, x0, y0 + o.k, x0 + o.k
 }
 
-// ApplyWindows implements WindowedOp: the same sharded window walk as
+// ApplyWindows implements Kernel: the same sharded window walk as
 // Apply, skipping unselected windows.
 func (o *LinOp) ApplyWindows(out, plane *sensor.Image, seed int64, workers int, sel []bool) error {
 	if err := checkPlane(o.name, plane); err != nil {

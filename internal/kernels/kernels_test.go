@@ -21,12 +21,11 @@ import (
 // quantization error (flat across CR thanks to the full-scale weight
 // normalisation); a scale or seeding regression trips them immediately.
 var builtinTol = map[string]float64{
-	"reconstruct":    0.01,
-	"reconstruct-cg": 0.015,
-	"edge":           0.12,
-	"sharpen":        0.1,
-	"denoise":        0.01,
-	"downsample2x":   0.005,
+	"reconstruct":  0.01,
+	"edge":         0.12,
+	"sharpen":      0.1,
+	"denoise":      0.01,
+	"downsample2x": 0.005,
 }
 
 // builtinNames returns the expected registry contents, derived from the
@@ -107,13 +106,15 @@ func maxAbsDiff(t *testing.T, a, b *sensor.Image) float64 {
 }
 
 // TestKernelsMatchReference is the satellite acceptance test: every
-// registered kernel's compressed-domain (optical) output matches its
-// exact dense-arithmetic reference within tolerance, at compression
-// ratios CAPool ∈ {4, 8, 16}, on planes produced by the real CA path.
-// The core runs 8-bit Ideal so the tolerance isolates quantization from
-// analog effects; the full-scale weight normalisation keeps the error
+// registered kernel's compressed-domain (optical) output, and every
+// alias's under its target's tolerance, matches its exact
+// dense-arithmetic reference within tolerance, at compression ratios
+// CAPool ∈ {4, 8, 16}, on planes produced by the real CA path. The core
+// runs 8-bit Ideal so the tolerance isolates quantization from analog
+// effects; the full-scale weight normalisation keeps the error
 // CR-independent (without it the CA adjoint's 1/N² entries would drown
-// in weight quantization at CR 16).
+// in weight quantization at CR 16). A second pass bounds every
+// reconstruction name on a noisy 4-bit core (reconstructNoisy).
 func TestKernelsMatchReference(t *testing.T) {
 	core := newCore(t, 8, 8, oc.Ideal)
 	for _, pool := range []int{4, 8, 16} {
@@ -122,8 +123,8 @@ func TestKernelsMatchReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		plane := caPlane(t, core, 64, 64, pool, int64(1000+pool))
-		for _, name := range eng.Names() {
-			bound, ok := builtinTol[name]
+		for _, name := range append(eng.Names(), kernels.Aliases()...) {
+			bound, ok := builtinTol[kernels.Canonical(name)]
 			if !ok {
 				t.Fatalf("kernel %q has no tolerance entry in builtinTol; every registered kernel must be covered", name)
 			}
@@ -149,6 +150,65 @@ func TestKernelsMatchReference(t *testing.T) {
 			if d := maxAbsDiff(t, got, want); d > bound {
 				t.Errorf("pool %d (CR %d): kernel %s diverges from dense reference: max |diff| = %g > %g",
 					pool, pool, name, d, bound)
+			}
+		}
+	}
+	reconstructNoisy(t)
+}
+
+// reconstructNoisy bounds how far every reconstruction name served on
+// the wire lands from the exact least-squares solution on a 4-bit
+// PhysicalNoisy core, the harshest fidelity: weight and activation
+// quantization, the analog transfer and seeded noise all at once. Four
+// seeded 64x64 random planes per CAPool ∈ {2, 4}; the bounds sit about
+// 1.5x above the measured worst case (max |diff| 0.091 at CAPool 2 and
+// 0.101 at CAPool 4, RMS 0.027 at both). The retired CGNR loop behind
+// reconstruct-cg missed them by an order of magnitude (max |diff| 1.44
+// and 1.17): its four to five noisy passes per sample compounded the
+// error the closed form's single pass takes once. Names resolving to one
+// operator object are measured once.
+func reconstructNoisy(t *testing.T) {
+	t.Helper()
+	const maxBound, rmsBound = 0.15, 0.04
+	core := newCore(t, 4, 4, oc.PhysicalNoisy)
+	for _, pool := range []int{2, 4} {
+		eng, err := kernels.NewEngine(core, pool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type errs struct{ worst, rms float64 }
+		measured := map[kernels.Kernel]errs{}
+		for _, name := range reconSolvers {
+			k, err := eng.Kernel(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, ok := measured[k]
+			if !ok {
+				sq, n := 0.0, 0
+				for seed := int64(1); seed <= 4; seed++ {
+					plane := synthPlane(64, 64, 700+seed)
+					got, err := k.Apply(plane, seed, 1)
+					if err != nil {
+						t.Fatalf("pool %d %s: %v", pool, name, err)
+					}
+					want, err := k.Reference(plane)
+					if err != nil {
+						t.Fatalf("pool %d %s reference: %v", pool, name, err)
+					}
+					e.worst = math.Max(e.worst, maxAbsDiff(t, got, want))
+					for i, v := range got.Pix {
+						d := v - want.Pix[i]
+						sq += d * d
+					}
+					n += len(got.Pix)
+				}
+				e.rms = math.Sqrt(sq / float64(n))
+				measured[k] = e
+			}
+			if e.worst > maxBound || e.rms > rmsBound {
+				t.Errorf("4-bit noisy pool %d: %s optical vs exact max |diff| %.4g (bound %g), RMS %.4g (bound %g)",
+					pool, name, e.worst, maxBound, e.rms, rmsBound)
 			}
 		}
 	}
@@ -348,7 +408,7 @@ func TestAliasesResolveToReconstruct(t *testing.T) {
 		t.Fatal(err)
 	}
 	aliases := kernels.Aliases()
-	if want := []string{"reconstruct-direct", "reconstruct-iter"}; !slices.Equal(aliases, want) {
+	if want := []string{"reconstruct-cg", "reconstruct-direct", "reconstruct-iter"}; !slices.Equal(aliases, want) {
 		t.Fatalf("Aliases() = %v, want %v", aliases, want)
 	}
 	for _, alias := range aliases {

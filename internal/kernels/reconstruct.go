@@ -10,8 +10,9 @@
 //
 // "reconstruct" programs that closed form — the adjoint column w over
 // the Gram factor — as a (N² x 1) LinOp: one optical pass per compressed
-// sample. "reconstruct-cg" (cg.go) reaches the same solution by CGNR
-// iteration with alternating optical forward and adjoint passes.
+// sample. Since ΦΦᵀ is diagonal that pass is the exact least-squares
+// solve, so no iterative solver gets closer; the solver names served on
+// the wire are aliases of it (engine.go).
 package kernels
 
 import (
@@ -20,34 +21,19 @@ import (
 	"lightator/internal/oc"
 )
 
-// caGeometry derives the per-window CA quantities every reconstruction
-// kernel needs: the weight row, its Gram factor ‖w‖² and its largest
-// entry.
-func caGeometry(poolN int) (w []float64, gram, wmax float64, err error) {
-	w, err = oc.CAWeightsBayer(poolN)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	for _, v := range w {
-		gram += v * v
-		if v > wmax {
-			wmax = v
-		}
-	}
-	return w, gram, wmax, nil
-}
-
 // NewReconstruct builds the closed-form least-squares reconstruction
 // kernel for an accelerator whose CA pools N x N windows: each compressed
 // sample expands into its N x N block x̂ = w y / ‖w‖², programmed as an
 // (N² x 1) operator with the Gram division applied digitally.
 func NewReconstruct(core *oc.Core, poolN int) (Kernel, error) {
-	w, gram, _, err := caGeometry(poolN)
+	w, err := oc.CAWeightsBayer(poolN)
 	if err != nil {
 		return nil, err
 	}
+	gram := 0.0
 	op := make([][]float64, len(w))
 	for i, v := range w {
+		gram += v * v
 		op[i] = []float64{v}
 	}
 	return NewLinOp(core, "reconstruct",

@@ -18,7 +18,7 @@ func windowsTestPlane(seed int64, h, w int) *sensor.Image {
 	return p
 }
 
-// windowsTestOps builds WindowedOps across distinct LinOp geometries:
+// windowsTestOps builds LinOps across distinct LinOp geometries:
 // a padded stride-1 conv and a stride-2, block-2 downsampling operator.
 func windowsTestOps(t *testing.T, fid oc.Fidelity) []*LinOp {
 	t.Helper()

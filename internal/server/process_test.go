@@ -18,19 +18,19 @@ import (
 )
 
 // kernelAliases are the accepted names that resolve to reconstruct.
-var kernelAliases = []string{"reconstruct-direct", "reconstruct-iter"}
+var kernelAliases = []string{"reconstruct-cg", "reconstruct-direct", "reconstruct-iter"}
 
 // TestProcessAliasesServeReconstruct: at the default CAPool, /v1/process
-// under either alias answers reconstruct's bytes and modelled energy,
+// under every alias answers reconstruct's bytes and modelled energy,
 // on reconstruct's pipeline and under its cache key — an alias request
-// is the second sighting of a reconstruct key, and the third request is
-// a hit — with no pipeline or energy series of its own.
+// is the second sighting of a reconstruct key, and a third request under
+// another alias is a hit — with no pipeline or energy series of its own.
 func TestProcessAliasesServeReconstruct(t *testing.T) {
 	acc := testAccelerator(t, lightator.Physical)
 	srv, ts := testServer(t, acc, lightator.ServeOptions{Workers: 1, BatchDelay: time.Millisecond})
-	post := func(kernel, wantCache string) ([]byte, http.Header) {
+	post := func(scene *lightator.Image, kernel, wantCache string) ([]byte, string) {
 		t.Helper()
-		resp := postRaw(t, ts.URL+"/v1/process", lightator.NewProcessRequest(lightator.EncodeImage(testScene(5, 32, 32)), kernel, nil))
+		resp := postRaw(t, ts.URL+"/v1/process", lightator.NewProcessRequest(lightator.EncodeImage(scene), kernel, nil))
 		defer resp.Body.Close()
 		var buf bytes.Buffer
 		if _, err := buf.ReadFrom(resp.Body); err != nil {
@@ -42,20 +42,26 @@ func TestProcessAliasesServeReconstruct(t *testing.T) {
 		if got := resp.Header.Get("X-Lightator-Cache"); got != wantCache {
 			t.Errorf("%s: X-Lightator-Cache = %q, want %s", kernel, got, wantCache)
 		}
-		return buf.Bytes(), resp.Header
+		return buf.Bytes(), resp.Header.Get("X-Lightator-Energy-J")
 	}
-	want, hdr := post("reconstruct", "miss")
-	direct, directHdr := post("reconstruct-direct", "miss")
-	iter, _ := post("reconstruct-iter", "hit")
-	if !bytes.Equal(direct, want) || !bytes.Equal(iter, want) {
-		t.Error("an alias served bytes that differ from reconstruct's")
-	}
-	if e := hdr.Get("X-Lightator-Energy-J"); e == "" || directHdr.Get("X-Lightator-Energy-J") != e {
-		t.Errorf("modelled energy: reconstruct %q, reconstruct-direct %q", e, directHdr.Get("X-Lightator-Energy-J"))
+	for i, alias := range kernelAliases {
+		scene := testScene(int64(5+i), 32, 32)
+		want, energy := post(scene, "reconstruct", "miss")
+		got, aliasEnergy := post(scene, alias, "miss")
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s served bytes that differ from reconstruct's", alias)
+		}
+		if energy == "" || aliasEnergy != energy {
+			t.Errorf("modelled energy: reconstruct %q, %s %q", energy, alias, aliasEnergy)
+		}
+		other := kernelAliases[(i+1)%len(kernelAliases)]
+		if hit, _ := post(scene, other, "hit"); !bytes.Equal(hit, want) {
+			t.Errorf("%s hit served bytes that differ from reconstruct's", other)
+		}
 	}
 	m := srv.Metrics()
-	if rep := m.Process["reconstruct"]; rep.Frames != 2 {
-		t.Errorf("reconstruct pipeline ran %d frames, want 2 (one of them the alias's)", rep.Frames)
+	if rep, want := m.Process["reconstruct"], 2*len(kernelAliases); rep.Frames != want {
+		t.Errorf("reconstruct pipeline ran %d frames, want %d (half of them the aliases')", rep.Frames, want)
 	}
 	_, text := getBody(t, ts.URL+"/metrics")
 	for _, alias := range kernelAliases {

@@ -6,9 +6,8 @@
 // fidelities (Ideal, Physical) are seed-independent — the same property
 // that lets the response cache omit seeds from its keys — so a result
 // computed for frame i-1 is bit-identical to what frame i would compute
-// over the same samples, despite the per-frame seed chain. Second, a
-// WindowedOp kernel's window output depends only on its own input
-// rectangle, so with an exact threshold (0), carrying forward windows
+// over the same samples, despite the per-frame seed chain. Second, every
+// kernel's window output depends only on its own input rectangle, so with an exact threshold (0), carrying forward windows
 // whose receptive fields saw no change reproduces a full Apply
 // bit-for-bit. A non-zero threshold deliberately trades that exactness
 // for more reuse and is an explicit client opt-in.
@@ -86,18 +85,14 @@ func (d *deltaEngine) dirtyBlocks(cur, prev *sensor.Image) (dirty []bool, bh, bw
 
 // selectWindows marks the kernel windows whose (clipped) receptive
 // field touches a dirty diff block, returning the selection and its
-// cardinality.
-func (d *deltaEngine) selectWindows(wk kernels.WindowedOp, plane *sensor.Image, dirty []bool, bh, bw int) ([]bool, int, error) {
-	wh, ww, err := wk.Windows(plane.H, plane.W)
-	if err != nil {
-		return nil, 0, err
-	}
+// cardinality. wh x ww is the kernel's window grid over plane.
+func (d *deltaEngine) selectWindows(kern kernels.Kernel, wh, ww int, plane *sensor.Image, dirty []bool, bh, bw int) ([]bool, int) {
 	b := d.cfg.Block
 	sel := make([]bool, wh*ww)
 	n := 0
 	for wy := 0; wy < wh; wy++ {
 		for wx := 0; wx < ww; wx++ {
-			y0, x0, y1, x1 := wk.WindowInput(wy, wx)
+			y0, x0, y1, x1 := kern.WindowInput(wy, wx)
 			if y0 < 0 {
 				y0 = 0
 			}
@@ -122,25 +117,20 @@ func (d *deltaEngine) selectWindows(wk kernels.WindowedOp, plane *sensor.Image, 
 			}
 		}
 	}
-	return sel, n, nil
+	return sel, n
 }
 
 // process runs the kernel stage for one ordered frame, reusing window
 // results from the previous frame where the compressed plane is static.
 // It returns the output plane plus the frame's reuse accounting: units
-// is the frame's total compute-unit count (kernel windows for windowed
-// kernels, 1 otherwise) and reused how many of them were carried
-// forward instead of recomputed.
+// is the frame's kernel window count and reused how many of them were
+// carried forward instead of recomputed.
 func (d *deltaEngine) process(kern kernels.Kernel, plane *sensor.Image, kernelSeed int64, workers int) (out *sensor.Image, reused, units int, err error) {
-	wk, windowed := kern.(kernels.WindowedOp)
-	units = 1
-	var wh, ww int
-	if windowed {
-		if wh, ww, err = wk.Windows(plane.H, plane.W); err != nil {
-			return nil, 0, 0, err
-		}
-		units = wh * ww
+	wh, ww, err := kern.Windows(plane.H, plane.W)
+	if err != nil {
+		return nil, 0, 0, err
 	}
+	units = wh * ww
 	fresh := !d.enabled || d.prevPlane == nil || d.prevOut == nil ||
 		d.prevPlane.H != plane.H || d.prevPlane.W != plane.W
 	if fresh {
@@ -153,29 +143,16 @@ func (d *deltaEngine) process(kern kernels.Kernel, plane *sensor.Image, kernelSe
 	}
 	dirty, bh, bw, nDirty := d.dirtyBlocks(plane, d.prevPlane)
 	if nDirty == 0 {
-		// Fully static frame: the previous output is the answer for any
-		// kernel shape. Results are never mutated after publication, so
-		// sharing the plane across frames is safe.
+		// Fully static frame: the previous output is the answer. Results
+		// are never mutated after publication, so sharing the plane
+		// across frames is safe.
 		d.remember(plane, d.prevOut, nil)
 		return d.prevOut, units, units, nil
 	}
-	if !windowed {
-		// Global operators (iterative solvers) have no per-window
-		// locality: any change recomputes the whole plane.
-		out, err = kern.Apply(plane, kernelSeed, workers)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		d.remember(plane, out, nil)
-		return out, 0, units, nil
-	}
-	sel, nSel, err := d.selectWindows(wk, plane, dirty, bh, bw)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+	sel, nSel := d.selectWindows(kern, wh, ww, plane, dirty, bh, bw)
 	// Start from the previous output and recompute only touched windows.
 	out = d.prevOut.Clone()
-	if err := wk.ApplyWindows(out, plane, kernelSeed, workers, sel); err != nil {
+	if err := kern.ApplyWindows(out, plane, kernelSeed, workers, sel); err != nil {
 		return nil, 0, 0, err
 	}
 	d.remember(plane, out, nil)

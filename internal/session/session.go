@@ -87,8 +87,8 @@ type Config struct {
 }
 
 // Stats is a session's cumulative reuse accounting. Blocks counts reuse
-// units: kernel windows for windowed kernels, whole-frame results
-// otherwise (see docs/SERVER.md).
+// units: kernel windows for process sessions, whole-frame results for
+// compress and infer sessions (see docs/SERVER.md).
 type Stats struct {
 	Frames       int64   `json:"frames"`
 	Errors       int64   `json:"errors"`

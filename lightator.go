@@ -42,8 +42,8 @@
 //
 // The kernel layer (internal/kernels) is the paper's "versatile image
 // processing" made concrete: image-processing operators — least-squares
-// and iterative reconstruction, edge detection, 2x downsampling,
-// denoising, block convolution — expressed as matrix operators composed
+// reconstruction, edge detection, 2x downsampling, denoising, block
+// convolution — expressed as matrix operators composed
 // with the CA sensing matrix, executed on the compressed measurement
 // plane through the same optical MVM path (never on a reconstructed
 // frame):
