@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: check vet build test test-race alloc linkcheck metricscheck wirecompat expgolden fuzz paper bench bench-pipeline bench-profile bench-e2e serve
+.PHONY: check vet build test test-race alloc linkcheck metricscheck wirecompat expgolden fuzz paper bench bench-pipeline bench-profile bench-e2e serve serve-smoke
 
 check: vet build test-race alloc linkcheck metricscheck wirecompat
 
@@ -103,3 +103,11 @@ bench-e2e:
 #   make serve SERVE_FLAGS='-addr :9090 -fidelity physical-noisy'
 serve:
 	$(GO) run ./cmd/lightator-serve $(SERVE_FLAGS)
+
+# Start-up smoke of lightator-serve (scripts/serve_smoke.sh): /readyz 200
+# within 60 s, then exit 0 on SIGTERM. CI also runs it with compressive
+# acquisition disabled:
+#   make serve-smoke SMOKE_FLAGS='--empty-kernels -capool 0 -rows 32 -cols 32 -workers 2'
+SMOKE_FLAGS ?= -workers 2
+serve-smoke:
+	bash scripts/serve_smoke.sh $(SMOKE_FLAGS)

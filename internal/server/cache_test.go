@@ -126,12 +126,14 @@ func TestCacheRefusesOversizedBody(t *testing.T) {
 // endpoint and on both decode paths. The scenes are wide enough to cross
 // a b64Stride boundary.
 func TestStreamedKeyMatchesHashRequest(t *testing.T) {
-	// The resolvers only look the batchers up; they never run here.
-	s := &Server{
-		compressB: &batcher{},
-		processB:  map[string]*batcher{"edge": {}},
-		inferB:    map[string]*batcher{"tiny-cnn": {}},
-	}
+	// The resolvers only look the routes up; their batchers never run
+	// here.
+	s := &Server{routes: map[string]*route{
+		"capture":        {b: &batcher{}},
+		"compress":       {b: &batcher{}},
+		"process:edge":   {b: &batcher{}},
+		"infer:tiny-cnn": {b: &batcher{}},
+	}}
 	scene, plane := wireScene(1, 256, 3), wireScene(1, 600, 1)
 	mustJSON := func(v any) []byte {
 		b, err := json.Marshal(v)

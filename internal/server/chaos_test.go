@@ -316,6 +316,44 @@ func TestChaosSessionDegradedFlag(t *testing.T) {
 	}
 }
 
+// TestChaosPlaneInferDegradedFlag checks the plane path of /v1/infer,
+// which skips the micro-batcher and so reads the degraded state off the
+// served model itself. Row 1 of tiny-mlp's output layer is stuck at a
+// rail in every column, so the first checked apply (fc2 has 10 rows:
+// ABFT stride 4) retires it. Each plane response must carry the degraded
+// flag, in body and header, exactly when the layer is degraded.
+func TestChaosPlaneInferDegradedFlag(t *testing.T) {
+	plan := &lightator.FaultPlan{Name: "stuck-fc2-row"}
+	for c := range 16 {
+		plan.Faults = append(plan.Faults, lightator.Fault{
+			Kind: "stuck_coeff", Target: "model:tiny-mlp/fc2", Row: 1, Col: c, Value: 0.95})
+	}
+	acc := chaosAccelerator(t, lightator.Physical, plan)
+	_, ts := testServer(t, acc, lightator.ServeOptions{Workers: 2, AgreementFrames: -1})
+	plane := lightator.EncodeImage(testCompressedPlane(7, 16, 16))
+	for seed := range int64(32) {
+		resp := postRaw(t, ts.URL+"/v1/infer", lightator.InferRequest{
+			Plane: &plane, Model: "tiny-mlp", Envelope: lightator.Envelope{Seed: &seed}})
+		var out lightator.InferResponse
+		err := json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("seed %d: status %d, decode error %v", seed, resp.StatusCode, err)
+		}
+		degraded := componentHealth(t, acc, "model:tiny-mlp/fc2").Degraded
+		if out.Degraded != degraded {
+			t.Errorf("seed %d: body degraded %v, layer degraded %v", seed, out.Degraded, degraded)
+		}
+		if got := resp.Header.Get("X-Lightator-Degraded") == "true"; got != degraded {
+			t.Errorf("seed %d: X-Lightator-Degraded set %v, layer degraded %v", seed, got, degraded)
+		}
+		if degraded {
+			return
+		}
+	}
+	t.Fatal("the stuck row never degraded tiny-mlp/fc2 in 32 plane requests")
+}
+
 // contains reports whether list holds s.
 func contains(list []string, s string) bool {
 	for _, v := range list {

@@ -142,7 +142,7 @@ func (op *frameOp) scene(in *ingest, keyed bool) (*sensor.Image, cacheKey, error
 // every fidelity.
 func (s *Server) captureOp(req *CaptureRequest) (frameOp, error) {
 	return frameOp{
-		tag: "capture", cacheAll: true, input: &req.Scene, b: s.captureB,
+		tag: "capture", cacheAll: true, input: &req.Scene, b: s.routes["capture"].b,
 		encode: func(res pipeline.Result) (any, error) {
 			return CaptureResponse{Frame: EncodeFrame(res.Frame), Degraded: res.Degraded}, nil
 		},
@@ -151,11 +151,12 @@ func (s *Server) captureOp(req *CaptureRequest) (frameOp, error) {
 
 // compressOp resolves /v1/compress.
 func (s *Server) compressOp(req *CompressRequest) (frameOp, error) {
-	if s.compressB == nil {
+	rt := s.routes["compress"]
+	if rt == nil {
 		return frameOp{}, apiErr(http.StatusNotImplemented, CodeNotImplemented, "compressive acquisition disabled (CAPool = 0)")
 	}
 	return frameOp{
-		tag: "compress", input: &req.Scene, b: s.compressB,
+		tag: "compress", input: &req.Scene, b: rt.b,
 		encode: func(res pipeline.Result) (any, error) {
 			return CompressResponse{Image: EncodeImage(res.Compressed), Degraded: res.Degraded}, nil
 		},
@@ -166,17 +167,17 @@ func (s *Server) compressOp(req *CompressRequest) (frameOp, error) {
 // and joins the cache identity. An alias resolves to its kernel here, so
 // everything past the door sees one name.
 func (s *Server) processOp(req *ProcessRequest) (frameOp, error) {
-	if len(s.processB) == 0 {
+	if s.routes["compress"] == nil {
 		return frameOp{}, apiErr(http.StatusNotImplemented, CodeNotImplemented, "compressed-domain kernels disabled (CAPool = 0)")
 	}
 	kernel := kernels.Canonical(req.Kernel)
-	b, ok := s.processB[kernel]
-	if !ok {
+	rt := s.routes["process:"+kernel]
+	if rt == nil {
 		return frameOp{}, apiErr(http.StatusBadRequest, CodeUnknownKernel, "unknown kernel %q (GET /v1/kernels lists the registry)", req.Kernel)
 	}
 	return frameOp{
 		target: kernel, tag: "process", parts: [][]byte{[]byte(kernel)},
-		input: &req.Envelope.Scene, b: b,
+		input: &req.Envelope.Scene, b: rt.b,
 		encode: func(res pipeline.Result) (any, error) {
 			return ProcessResponse{Plane: EncodeImage(res.Processed), Degraded: res.Degraded}, nil
 		},
@@ -187,11 +188,11 @@ func (s *Server) processOp(req *ProcessRequest) (frameOp, error) {
 // model's pipeline; plane requests compute inline (no pipeline trip to
 // coalesce).
 func (s *Server) inferOp(req *InferRequest) (frameOp, error) {
-	if len(s.inferB) == 0 {
+	if s.routes["compress"] == nil {
 		return frameOp{}, apiErr(http.StatusNotImplemented, CodeNotImplemented, "compressed-domain inference disabled (CAPool = 0)")
 	}
-	b, ok := s.inferB[req.Model]
-	if !ok {
+	rt := s.routes["infer:"+req.Model]
+	if rt == nil {
 		return frameOp{}, apiErr(http.StatusBadRequest, CodeUnknownModel, "unknown model %q (GET /v1/models lists the registry)", req.Model)
 	}
 	if (req.Scene == nil) == (req.Plane == nil) {
@@ -201,7 +202,7 @@ func (s *Server) inferOp(req *InferRequest) (frameOp, error) {
 	if req.Scene != nil {
 		return frameOp{
 			target: model, tag: "infer-scene", parts: [][]byte{[]byte(model)},
-			input: req.Scene, b: b,
+			input: req.Scene, b: rt.b,
 			encode: func(res pipeline.Result) (any, error) {
 				return InferResponse{Model: model, Logits: res.Logits, Class: infer.Argmax(res.Logits), Degraded: res.Degraded}, nil
 			},
@@ -214,15 +215,19 @@ func (s *Server) inferOp(req *InferRequest) (frameOp, error) {
 			if s.draining.Load() {
 				return nil, errDraining
 			}
-			logits, err := s.backend.InferPlane(model, plane, seed)
+			// Plane requests bypass the micro-batcher but keep the
+			// pipeline's worker bound; the infer determinism contract
+			// keeps the worker count out of the response bytes.
+			pcfg := rt.b.pipe.Config()
+			logits, err := pcfg.Infer.Apply(plane, seed, pcfg.Workers)
 			if err != nil {
 				return nil, wrapErr(http.StatusBadRequest, CodeBadRequest, "infer failed", err)
 			}
 			// Plane requests skip capture+CA; the model's op counts are
 			// the infer stage of its pipeline's static profile.
-			s.traceSpan(w, "/v1/infer", model, "infer", start, s.backend.Infer[model].FrameOps().Infer)
+			s.traceSpan(w, "/v1/infer", model, "infer", start, rt.b.pipe.FrameOps().Infer)
 			resp := InferResponse{Model: model, Logits: logits, Class: infer.Argmax(logits)}
-			if d, ok := s.backend.ModelObjects[model].(interface{ Degraded() bool }); ok && d.Degraded() {
+			if d, ok := pcfg.Infer.(interface{ Degraded() bool }); ok && d.Degraded() {
 				s.flagDegraded(w)
 				resp.Degraded = true
 			}

@@ -197,30 +197,6 @@ func TestModelsEndpointAndInferErrors(t *testing.T) {
 		t.Errorf("prometheus text missing per-model pipeline series:\n%s", text.String())
 	}
 
-	// CA disabled: 501, and the registry is empty (but present).
-	cfg2 := lightator.DefaultConfig()
-	cfg2.SensorRows, cfg2.SensorCols, cfg2.CAPool = 32, 32, 0
-	noCA, err := lightator.New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts2 := testServer(t, noCA, lightator.ServeOptions{BatchDelay: time.Millisecond})
-	if status, _ := postJSON(t, ts2.URL+"/v1/infer",
-		lightator.InferRequest{Scene: &scene, Model: names[0]}, nil); status != http.StatusNotImplemented {
-		t.Error("CA-disabled infer did not answer 501")
-	}
-	resp, err = http.Get(ts2.URL + "/v1/models")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var empty lightator.ModelsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&empty); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(empty.Models) != 0 {
-		t.Errorf("CA-disabled registry lists %d models, want 0", len(empty.Models))
-	}
 }
 
 // TestInferNoisyBypassesCacheButReproduces mirrors the process cache

@@ -209,30 +209,6 @@ func TestKernelsEndpointAndProcessErrors(t *testing.T) {
 		t.Errorf("prometheus text missing per-kernel pipeline series:\n%s", text.String())
 	}
 
-	// CA disabled: 501, and the registry is empty.
-	cfg := lightator.DefaultConfig()
-	cfg.SensorRows, cfg.SensorCols, cfg.CAPool = 32, 32, 0
-	noCA, err := lightator.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, ts2 := testServer(t, noCA, lightator.ServeOptions{BatchDelay: time.Millisecond})
-	if status, _ := postJSON(t, ts2.URL+"/v1/process",
-		lightator.NewProcessRequest(scene, "edge", nil), nil); status != http.StatusNotImplemented {
-		t.Errorf("CA-disabled process got %d, want 501", status)
-	}
-	resp, err = http.Get(ts2.URL + "/v1/kernels")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var empty lightator.KernelsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&empty); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if len(empty.Kernels) != 0 {
-		t.Errorf("CA-disabled registry lists %d kernels, want 0", len(empty.Kernels))
-	}
 }
 
 // TestProcessNoisyBypassesCacheButReproduces mirrors the compress cache

@@ -40,12 +40,12 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strings"
 	"sync/atomic"
 	"time"
 
 	"lightator/internal/arch"
 	"lightator/internal/energy"
-	"lightator/internal/kernels"
 	"lightator/internal/oc"
 	"lightator/internal/pipeline"
 	"lightator/internal/sensor"
@@ -63,34 +63,17 @@ const maxBodyBytes = 64 << 20
 // (lightator.Accelerator.NewServer) is the intended constructor of this
 // struct; tests may assemble it directly.
 type Backend struct {
-	// Capture is the capture-only pipeline behind /v1/capture.
-	Capture *pipeline.Pipeline
-	// Compress is the capture+CA pipeline behind /v1/compress; nil when
-	// the accelerator has compressive acquisition disabled.
-	Compress *pipeline.Pipeline
-	// Process maps each registered compressed-domain kernel to its
-	// capture+CA+kernel pipeline (behind /v1/process); nil or empty when
-	// compressive acquisition is disabled.
-	Process map[string]*pipeline.Pipeline
+	// Pipelines is every served pipeline series, keyed by series name:
+	// "capture" behind /v1/capture (required), "compress" behind
+	// /v1/compress and the streaming sessions, "process:<kernel>" behind
+	// /v1/process and "infer:<model>" behind /v1/infer. Without a
+	// compress pipeline (compressive acquisition disabled) the endpoints
+	// that need one answer 501.
+	Pipelines map[string]*pipeline.Pipeline
 	// Kernels describes the registry for GET /v1/kernels, sorted by name.
 	Kernels []KernelInfo
-	// Infer maps each registered inference model to its capture+CA+infer
-	// pipeline (behind /v1/infer scene requests); nil or empty when
-	// compressive acquisition is disabled.
-	Infer map[string]*pipeline.Pipeline
 	// Models describes the registry for GET /v1/models, sorted by name.
 	Models []ModelInfo
-	// InferPlane runs a registered model directly over a pre-compressed
-	// measurement plane (the /v1/infer plane path, which bypasses the
-	// micro-batcher — there is no pipeline trip to coalesce).
-	InferPlane func(model string, plane *sensor.Image, seed int64) ([]float64, error)
-	// KernelObjects maps kernel names to their operators, for streaming
-	// sessions (which run the kernel stage themselves, after the delta
-	// diff). Keys mirror Process.
-	KernelObjects map[string]kernels.Kernel
-	// ModelObjects maps model names to their inference models, for
-	// streaming sessions. Keys mirror Infer.
-	ModelObjects map[string]pipeline.InferModel
 	// Core executes /v1/matvec.
 	Core *oc.Core
 	// Seed is the base noise seed a request without an explicit seed
@@ -104,12 +87,10 @@ type Backend struct {
 	Deterministic bool
 	// Simulate runs the architecture simulator for /v1/simulate.
 	Simulate func(model string) (*arch.Report, error)
-	// Energy prices per-request op counts for the observability layer; a
-	// zero value takes energy.Default() — existing backends need not set
-	// it.
+	// Energy prices per-request op counts for the observability layer.
 	Energy energy.Params
 	// WBits is the weight precision the energy bridge prices DAC holds
-	// at; 0 takes the paper's default 4.
+	// at.
 	WBits int
 }
 
@@ -254,15 +235,9 @@ type Server struct {
 	m       *metrics
 	cache   *responseCache
 	traces  *trace.Ring
-	// energy maps each pipeline series (capture, compress,
-	// process:<kernel>, infer:<model>) to its modeled per-request gauge,
-	// fixed at construction.
-	energy map[string]EnergyGauge
-
-	captureB  *batcher
-	compressB *batcher
-	processB  map[string]*batcher // one micro-batcher per kernel
-	inferB    map[string]*batcher // one micro-batcher per model
+	// routes holds one micro-batched route per Backend.Pipelines entry,
+	// under the same series name.
+	routes map[string]*route
 
 	// sessions is the streaming-session registry; nil when compressive
 	// acquisition is disabled (sessions stream the capture+CA pipeline).
@@ -281,10 +256,19 @@ type Server struct {
 	httpSrv *http.Server
 }
 
-// New builds a server over the backend. The Capture pipeline is required;
-// Compress may be nil (its endpoint then reports 501).
+// route is one served pipeline series: the micro-batcher over its
+// pipeline (b.pipe) and its modeled per-request energy. The series name
+// keys the energy gauge, the queue gauge ("/v1/" + name) and the
+// pipeline stats.
+type route struct {
+	b     *batcher
+	gauge EnergyGauge
+}
+
+// New builds a server over the backend. The capture pipeline is
+// required; every other series is optional.
 func New(b Backend, cfg Config) (*Server, error) {
-	if b.Capture == nil {
+	if b.Pipelines["capture"] == nil {
 		return nil, fmt.Errorf("server: backend needs a capture pipeline")
 	}
 	if b.Core == nil {
@@ -297,15 +281,6 @@ func New(b Backend, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	// Zero-value energy params mean "unconfigured" (a real model always
-	// has a clock): default them so directly-assembled backends keep
-	// working and always price requests with the calibrated model.
-	if b.Energy.ClockHz == 0 {
-		b.Energy = energy.Default()
-	}
-	if b.WBits == 0 {
-		b.WBits = 4
-	}
 	s := &Server{
 		backend: b,
 		cfg:     cfg,
@@ -314,26 +289,16 @@ func New(b Backend, cfg Config) (*Server, error) {
 		traces:  trace.NewRing(cfg.TraceEntries),
 		chaos:   b.Core.FaultPlan() != nil,
 		stopped: make(chan struct{}),
+		routes:  make(map[string]*route, len(b.Pipelines)),
 	}
-	// Per-series energy gauges are fixed by the pipelines' geometry;
-	// compute them once.
-	s.energy = make(map[string]EnergyGauge)
-	addGauge := func(name string, pipe *pipeline.Pipeline) {
+	// Energy gauges are fixed by the pipelines' geometry; compute them
+	// once.
+	for name, pipe := range b.Pipelines {
 		j := b.Energy.RequestEnergy(pipe.FrameOps().Total(), b.WBits).Total()
-		s.energy[name] = EnergyGauge{
-			EnergyJPerRequest: j,
-			ModeledKFPSPerW:   energy.ModeledKFPSPerW(j),
+		s.routes[name] = &route{
+			b:     newBatcher(pipe, cfg.BatchSize, cfg.Queue, cfg.MaxBatches, cfg.BatchDelay, s.m),
+			gauge: EnergyGauge{EnergyJPerRequest: j, ModeledKFPSPerW: energy.ModeledKFPSPerW(j)},
 		}
-	}
-	addGauge("capture", b.Capture)
-	if b.Compress != nil {
-		addGauge("compress", b.Compress)
-	}
-	for name, pipe := range b.Process {
-		addGauge("process:"+name, pipe)
-	}
-	for name, pipe := range b.Infer {
-		addGauge("infer:"+name, pipe)
 	}
 	// Built here, not in Serve, so Shutdown never races a concurrent
 	// Serve call on the field. Header/idle timeouts bound slow-loris
@@ -345,19 +310,7 @@ func New(b Backend, cfg Config) (*Server, error) {
 	if cfg.IdleTimeout > 0 {
 		s.httpSrv.IdleTimeout = cfg.IdleTimeout
 	}
-	s.captureB = newBatcher(b.Capture, cfg.BatchSize, cfg.Queue, cfg.MaxBatches, cfg.BatchDelay, s.m)
-	if b.Compress != nil {
-		s.compressB = newBatcher(b.Compress, cfg.BatchSize, cfg.Queue, cfg.MaxBatches, cfg.BatchDelay, s.m)
-	}
-	s.processB = make(map[string]*batcher, len(b.Process))
-	for name, pipe := range b.Process {
-		s.processB[name] = newBatcher(pipe, cfg.BatchSize, cfg.Queue, cfg.MaxBatches, cfg.BatchDelay, s.m)
-	}
-	s.inferB = make(map[string]*batcher, len(b.Infer))
-	for name, pipe := range b.Infer {
-		s.inferB[name] = newBatcher(pipe, cfg.BatchSize, cfg.Queue, cfg.MaxBatches, cfg.BatchDelay, s.m)
-	}
-	if b.Compress != nil {
+	if s.routes["compress"] != nil {
 		s.sessions = session.NewManager(session.ManagerConfig{
 			MaxSessions: cfg.MaxSessions,
 			IdleTimeout: cfg.SessionIdleTimeout,
@@ -401,28 +354,27 @@ func (s *Server) Metrics() MetricsSnapshot {
 	snap.CacheCapacity = s.cache.capacity()
 	snap.CacheBytes = s.cache.sizeBytes()
 	snap.Queues = s.queueSnapshots()
-	snap.Energy = make(map[string]EnergyGauge, len(s.energy))
-	for name, g := range s.energy {
-		snap.Energy[name] = g
-	}
-	st := s.backend.Capture.Stats()
-	snap.Capture = st.Report()
-	if s.backend.Compress != nil {
-		st = s.backend.Compress.Stats()
-		snap.Compress = st.Report()
-	}
-	if len(s.backend.Process) > 0 {
-		snap.Process = make(map[string]pipeline.StatsReport, len(s.backend.Process))
-		for name, pipe := range s.backend.Process {
-			st = pipe.Stats()
-			snap.Process[name] = st.Report()
-		}
-	}
-	if len(s.backend.Infer) > 0 {
-		snap.Infer = make(map[string]pipeline.StatsReport, len(s.backend.Infer))
-		for name, pipe := range s.backend.Infer {
-			st = pipe.Stats()
-			snap.Infer[name] = st.Report()
+	snap.Energy = make(map[string]EnergyGauge, len(s.routes))
+	for name, rt := range s.routes {
+		snap.Energy[name] = rt.gauge
+		st := rt.b.pipe.Stats()
+		rep := st.Report()
+		kind, sub, _ := strings.Cut(name, ":")
+		switch kind {
+		case "capture":
+			snap.Capture = rep
+		case "compress":
+			snap.Compress = rep
+		case "process":
+			if snap.Process == nil {
+				snap.Process = make(map[string]pipeline.StatsReport)
+			}
+			snap.Process[sub] = rep
+		case "infer":
+			if snap.Infer == nil {
+				snap.Infer = make(map[string]pipeline.StatsReport)
+			}
+			snap.Infer[sub] = rep
 		}
 	}
 	if s.sessions != nil {
@@ -438,24 +390,13 @@ func (s *Server) Metrics() MetricsSnapshot {
 // queueSnapshots gauges every batched endpoint's admission state, keyed
 // by endpoint with per-kernel/model series suffixed by name.
 func (s *Server) queueSnapshots() map[string]QueueSnapshot {
-	qs := make(map[string]QueueSnapshot, 2+len(s.processB)+len(s.inferB))
-	add := func(name string, b *batcher) {
-		if b == nil {
-			return
+	qs := make(map[string]QueueSnapshot, len(s.routes))
+	for name, rt := range s.routes {
+		qs["/v1/"+name] = QueueSnapshot{
+			Depth:           rt.b.queueDepth(),
+			Occupancy:       rt.b.occupancy(),
+			InflightBatches: rt.b.inflightBatches(),
 		}
-		qs[name] = QueueSnapshot{
-			Depth:           b.queueDepth(),
-			Occupancy:       b.occupancy(),
-			InflightBatches: b.inflightBatches(),
-		}
-	}
-	add("/v1/capture", s.captureB)
-	add("/v1/compress", s.compressB)
-	for name, b := range s.processB {
-		add("/v1/process:"+name, b)
-	}
-	for name, b := range s.inferB {
-		add("/v1/infer:"+name, b)
 	}
 	return qs
 }
@@ -476,15 +417,8 @@ func (s *Server) Drain(ctx context.Context) error {
 			if s.sessions != nil {
 				s.sessions.Drain()
 			}
-			s.captureB.close()
-			if s.compressB != nil {
-				s.compressB.close()
-			}
-			for _, b := range s.processB {
-				b.close()
-			}
-			for _, b := range s.inferB {
-				b.close()
+			for _, rt := range s.routes {
+				rt.b.close()
 			}
 			close(s.stopped)
 		}()
@@ -557,15 +491,9 @@ var (
 // request. Health endpoints (/healthz, /readyz, /metrics) are never
 // shed; they are exactly what an operator needs during an overload.
 func (s *Server) shedLevel() int {
-	load := s.captureB.load()
-	if s.compressB != nil {
-		load = max(load, s.compressB.load())
-	}
-	for _, b := range s.processB {
-		load = max(load, b.load())
-	}
-	for _, b := range s.inferB {
-		load = max(load, b.load())
+	var load float64
+	for _, rt := range s.routes {
+		load = max(load, rt.b.load())
 	}
 	cfg := s.cfg
 	switch {

@@ -579,18 +579,66 @@ func TestBadRequests(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET on /v1/compress got %d, want 405", resp.StatusCode)
 	}
+}
 
-	// Compress disabled: a CAPool=0 accelerator answers 501.
+// TestCADisabledServesCaptureOnly: a CAPool=0 accelerator serves the
+// capture route alone. Every endpoint that needs compressive acquisition
+// answers 501 not_implemented, the registries list nothing, and the
+// metrics snapshot carries only the capture series.
+func TestCADisabledServesCaptureOnly(t *testing.T) {
 	cfg := lightator.DefaultConfig()
 	cfg.SensorRows, cfg.SensorCols, cfg.CAPool = 32, 32, 0
 	noCA, err := lightator.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts2 := testServer(t, noCA, lightator.ServeOptions{BatchDelay: time.Millisecond})
-	if status, _ := postJSON(t, ts2.URL+"/v1/compress",
-		lightator.NewCompressRequest(lightator.EncodeImage(testScene(1, 32, 32)), nil), nil); status != http.StatusNotImplemented {
-		t.Errorf("CA-disabled compress got %d, want 501", status)
+	_, ts := testServer(t, noCA, lightator.ServeOptions{BatchDelay: time.Millisecond})
+	scene := lightator.EncodeImage(testScene(1, 32, 32))
+	plane := lightator.EncodeImage(testCompressedPlane(2, 16, 16))
+	for _, c := range []struct {
+		name, path string
+		req        any
+	}{
+		{"compress", "/v1/compress", lightator.NewCompressRequest(scene, nil)},
+		{"process", "/v1/process", lightator.NewProcessRequest(scene, "edge", nil)},
+		{"infer scene", "/v1/infer", lightator.InferRequest{Scene: &scene, Model: "tiny-cnn"}},
+		{"infer plane", "/v1/infer", lightator.InferRequest{Plane: &plane, Model: "tiny-cnn"}},
+		{"session open", "/v1/session", server.SessionRequest{Kind: "process", Kernel: "edge"}},
+	} {
+		status, body := postJSON(t, ts.URL+c.path, c.req, nil)
+		if status != http.StatusNotImplemented {
+			t.Errorf("CA-disabled %s got %d (%s), want 501", c.name, status, body)
+			continue
+		}
+		assertErrShape(t, body, server.CodeNotImplemented)
+	}
+	if status, body := postJSON(t, ts.URL+"/v1/capture", lightator.NewCaptureRequest(scene, nil), nil); status != http.StatusOK {
+		t.Fatalf("CA-disabled capture got %d (%s), want 200", status, body)
+	}
+
+	if _, body := getJSON(t, ts.URL+"/v1/kernels", nil); string(body) != `{"kernels":[]}`+"\n" {
+		t.Errorf("CA-disabled /v1/kernels answered %q, want an empty list", body)
+	}
+	var models lightator.ModelsResponse
+	if _, body := getJSON(t, ts.URL+"/v1/models", &models); models.Models == nil || len(models.Models) != 0 {
+		t.Errorf("CA-disabled /v1/models answered %q, want an empty list", body)
+	}
+
+	var snap map[string]json.RawMessage
+	getJSON(t, ts.URL+"/metrics?format=json", &snap)
+	for key, want := range map[string]string{"energy": "capture", "queues": "/v1/capture"} {
+		var series map[string]json.RawMessage
+		if err := json.Unmarshal(snap[key], &series); err != nil {
+			t.Fatalf("metrics %s: %v", key, err)
+		}
+		if _, ok := series[want]; !ok || len(series) != 1 {
+			t.Errorf("CA-disabled metrics %s series %s, want only %q", key, snap[key], want)
+		}
+	}
+	for _, key := range []string{"process_pipelines", "infer_pipelines"} {
+		if _, ok := snap[key]; ok {
+			t.Errorf("CA-disabled metrics carry %s: %s", key, snap[key])
+		}
 	}
 }
 

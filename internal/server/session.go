@@ -67,7 +67,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) (int,
 	}
 	cfg := session.Config{
 		Kind:          session.Kind(req.Kind),
-		Pipe:          s.backend.Compress,
+		Pipe:          s.routes["compress"].b.pipe,
 		Seed:          s.effectiveSeed(req.Seed),
 		Window:        s.cfg.SessionWindow,
 		Deterministic: s.backend.Deterministic,
@@ -77,17 +77,17 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) (int,
 	case session.KindProcess:
 		// The response echoes the name as sent; an alias runs as its
 		// kernel.
-		k, ok := s.backend.KernelObjects[kernels.Canonical(req.Kernel)]
-		if !ok {
+		rt := s.routes["process:"+kernels.Canonical(req.Kernel)]
+		if rt == nil {
 			return http.StatusBadRequest, apiErr(http.StatusBadRequest, CodeUnknownKernel, "unknown kernel %q (GET /v1/kernels lists the registry)", req.Kernel)
 		}
-		cfg.Kernel = k
+		cfg.Kernel = rt.b.pipe.Config().Kernel
 	case session.KindInfer:
-		m, ok := s.backend.ModelObjects[req.Model]
-		if !ok {
+		rt := s.routes["infer:"+req.Model]
+		if rt == nil {
 			return http.StatusBadRequest, apiErr(http.StatusBadRequest, CodeUnknownModel, "unknown model %q (GET /v1/models lists the registry)", req.Model)
 		}
-		cfg.Model = m
+		cfg.Model = rt.b.pipe.Config().Infer
 	default:
 		return http.StatusBadRequest, apiErr(http.StatusBadRequest, CodeBadRequest, "unknown session kind %q (want compress, process or infer)", req.Kind)
 	}

@@ -275,14 +275,15 @@ type Accelerator struct {
 	inf    *infer.Engine
 	params energy.Params
 
-	// pipeMu guards the lazily-built per-kernel and per-model pipelines
-	// behind ProcessCompressed / Infer (one per name, reused across
+	// pipeMu guards the lazily-built pipelines behind AcquireCompressed,
+	// ProcessCompressed and Infer (one per pipeKey, reused across
 	// calls).
 	pipeMu sync.Mutex
 	pipes  map[pipeKey]*Pipeline
 }
 
-// pipeKey names a cached single-stage pipeline: a kernel or a model.
+// pipeKey names a cached pipeline by its last stage: a kernel, a model,
+// or neither (capture + CA alone).
 type pipeKey struct{ kernel, model string }
 
 // New builds an accelerator.
@@ -363,14 +364,15 @@ func (a *Accelerator) Capture(scene *Image) (*Frame, error) {
 
 // AcquireCompressed captures a scene and runs the Compressive Acquisitor:
 // fused RGB-to-grayscale + average pooling in one optical pass (Eq. 1).
-// It is the one-scene AcquireCompressedBatch — the same seeded,
-// ABFT-verified path, so the result is reproducible in every fidelity.
+// The scene is processed exactly as frame 0 of a seeded
+// AcquireCompressedBatch under Config.Seed — the same ABFT-verified
+// path, so the result is reproducible in every fidelity.
 func (a *Accelerator) AcquireCompressed(scene *Image) (*Image, error) {
-	out, err := a.AcquireCompressedBatch([]*Image{scene}, 1)
-	if err != nil {
-		return nil, err
+	if a.ca == nil {
+		return nil, fmt.Errorf("lightator: compressive acquisition disabled (CAPool = 0)")
 	}
-	return out[0], nil
+	return runOne(a, PipelineOptions{}, scene,
+		func(r PipelineResult) *Image { return r.Compressed })
 }
 
 // MatVec programs a weight matrix (entries in [-1,1]) onto the MR banks
@@ -550,9 +552,9 @@ func (a *Accelerator) AcquireCompressedBatch(scenes []*Image, workers int) ([]*I
 
 // Kernels lists the registered compressed-domain processing kernels,
 // sorted by name; empty when compressive acquisition is disabled. The
-// aliases reconstruct-direct and reconstruct-iter resolve to reconstruct
-// everywhere a kernel name is accepted but are not listed. See
-// docs/KERNELS.md for each operator's math.
+// aliases reconstruct-direct, reconstruct-iter and reconstruct-cg
+// resolve to reconstruct everywhere a kernel name is accepted but are
+// not listed. See docs/KERNELS.md for each operator's math.
 func (a *Accelerator) Kernels() []string {
 	if a.eng == nil {
 		return nil

@@ -2,12 +2,10 @@ package lightator
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"time"
 
 	"lightator/internal/kernels"
-	"lightator/internal/pipeline"
 	"lightator/internal/server"
 )
 
@@ -229,38 +227,29 @@ func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	capture, err := a.NewPipeline(PipelineOptions{Workers: opts.Workers, DisableCA: true})
-	if err != nil {
+	// One pipeline per served series, keyed by series name; the serving
+	// layer gives each its own micro-batcher.
+	pipes := make(map[string]*Pipeline)
+	add := func(name string, po PipelineOptions) (err error) {
+		po.Workers = opts.Workers
+		pipes[name], err = a.NewPipeline(po)
+		return err
+	}
+	if err := add("capture", PipelineOptions{DisableCA: true}); err != nil {
 		return nil, err
 	}
-	var compress *Pipeline
-	process := make(map[string]*Pipeline)
 	kernelInfos := []KernelInfo{}
-	kernelObjs := make(map[string]kernels.Kernel)
-	inferPipes := make(map[string]*Pipeline)
 	modelInfos := []ModelInfo{}
-	modelObjs := make(map[string]pipeline.InferModel)
 	if a.ca != nil {
-		compress, err = a.NewPipeline(PipelineOptions{Workers: opts.Workers})
-		if err != nil {
+		if err := add("compress", PipelineOptions{}); err != nil {
 			return nil, err
 		}
-		// One capture+CA+kernel pipeline per registered kernel, each with
-		// its own micro-batcher in the serving layer. The bare operator
-		// rides along for the session layer, which runs the kernel stage
-		// itself after the temporal-delta diff. Aliases get neither: the
-		// server resolves them to their kernel at the door.
+		// One capture+CA+kernel pipeline per registered kernel. Aliases
+		// get none: the server resolves them to their kernel at the door.
 		for _, name := range a.Kernels() {
-			p, err := a.NewPipeline(PipelineOptions{Workers: opts.Workers, Kernel: name})
-			if err != nil {
+			if err := add("process:"+name, PipelineOptions{Kernel: name}); err != nil {
 				return nil, err
 			}
-			process[name] = p
-			k, err := a.eng.Kernel(name)
-			if err != nil {
-				return nil, err
-			}
-			kernelObjs[name] = k
 		}
 		// The registry listing names everything the wire accepts,
 		// aliases included.
@@ -278,16 +267,13 @@ func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
 		// trained networks first.
 		models := a.Models()
 		for _, name := range models {
-			p, err := a.NewPipeline(PipelineOptions{Workers: opts.Workers, Infer: name})
-			if err != nil {
+			if err := add("infer:"+name, PipelineOptions{Infer: name}); err != nil {
 				return nil, err
 			}
-			inferPipes[name] = p
 			m, err := a.inf.Model(name)
 			if err != nil {
 				return nil, err
 			}
-			modelObjs[name] = m
 			h, w := m.InputDims()
 			info := ModelInfo{
 				Name: name, Description: m.Description(),
@@ -307,28 +293,9 @@ func (a *Accelerator) NewServer(opts ServeOptions) (*Server, error) {
 		}
 	}
 	return server.New(server.Backend{
-		Capture:       capture,
-		Compress:      compress,
-		Process:       process,
+		Pipelines:     pipes,
 		Kernels:       kernelInfos,
-		Infer:         inferPipes,
 		Models:        modelInfos,
-		KernelObjects: kernelObjs,
-		ModelObjects:  modelObjs,
-		// Plane requests bypass the pipeline, so the worker bound is
-		// applied here; the infer determinism contract keeps the worker
-		// count unobservable in the response bytes.
-		InferPlane: func(model string, plane *Image, seed int64) ([]float64, error) {
-			m, err := a.inferModel(model)
-			if err != nil {
-				return nil, err
-			}
-			workers := opts.Workers
-			if workers <= 0 {
-				workers = runtime.NumCPU()
-			}
-			return m.Apply(plane, seed, workers)
-		},
 		Core:          a.core,
 		Seed:          a.cfg.Seed,
 		Deterministic: a.cfg.Fidelity != PhysicalNoisy,
