@@ -1,6 +1,8 @@
 # Canonical repo checks. `make check` is the gate every change must pass:
 # vet + build + the full test suite under the race detector (the
-# concurrent pipeline is only trustworthy race-clean) + the allocation
+# concurrent pipeline is only trustworthy race-clean), in shuffled order
+# as CI runs it (tests that share package-global pools must not depend
+# on their order) + the allocation
 # pins the race pass skips + the docs link checker (relative links in
 # *.md must resolve).
 
@@ -20,7 +22,7 @@ test:
 	$(GO) test ./...
 
 test-race:
-	$(GO) test -race ./...
+	$(GO) test -race -shuffle=on ./...
 
 # Steady-state allocation pins. They are `//go:build !race` (the race
 # detector instruments allocations and drops pooled values), so the race

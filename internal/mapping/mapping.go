@@ -82,12 +82,6 @@ func (m KernelMapping) MRUtilisation() float64 {
 	return float64(m.Taps) / float64(m.ArmsPerStride*MRsPerArm)
 }
 
-// BankUtilisation is the fraction of a bank's 54 MRs carrying weights:
-// strides * taps / 54.
-func (m KernelMapping) BankUtilisation() float64 {
-	return float64(m.StridesPerBank*m.Taps) / float64(MRsPerBank)
-}
-
 // StridesPerCycle is how many kernel strides the whole 96-bank core
 // executes in one operational cycle.
 func (m KernelMapping) StridesPerCycle() int {

@@ -180,11 +180,6 @@ func (r *Ring) QFactor(lam float64) float64 {
 	return lam / r.FWHM(lam)
 }
 
-// Finesse returns FSR/FWHM.
-func (r *Ring) Finesse(lam float64) float64 {
-	return r.FSR(lam) / r.FWHM(lam)
-}
-
 // ExtinctionRatio returns the through-port extinction in dB: the ratio of
 // far-off-resonance transmission to on-resonance transmission.
 func (r *Ring) ExtinctionRatio(lam float64) float64 {
@@ -207,12 +202,6 @@ func (r *Ring) Tune(dLambda float64) {
 // Shift returns the currently applied resonance shift in meters.
 func (r *Ring) Shift() float64 {
 	return r.shift
-}
-
-// Detune reports the signed distance from wavelength lam to the nearest
-// tuned resonance, in meters.
-func (r *Ring) Detune(lam float64) float64 {
-	return lam - r.NearestResonance(lam)
 }
 
 // ThermalTuner converts resonance shifts into heater power, modelling the

@@ -73,10 +73,6 @@ func NewWeightBank(n int) *WeightBank {
 // Size returns the number of rings (= channels) in the bank.
 func (wb *WeightBank) Size() int { return len(wb.Rings) }
 
-// WeightScale returns the physical differential transmission magnitude
-// that a logical weight of 1.0 maps to.
-func (wb *WeightBank) WeightScale() float64 { return wb.weightScale }
-
 // PerturbResonances applies per-ring resonance offsets (meters), modelling
 // fabrication variation. Offsets add to whatever tuning Program applies,
 // i.e. they model *uncorrected* variation.

@@ -530,19 +530,9 @@ func (p *Pipeline) run(known int, jobs <-chan job, emit func(Result)) *Stats {
 // plus the run's aggregate stats. Per-frame failures are reported in
 // Result.Err; Run itself only fails on an empty batch.
 func (p *Pipeline) Run(scenes []*sensor.Image) ([]Result, *Stats, error) {
-	if len(scenes) == 0 {
-		return nil, nil, fmt.Errorf("pipeline: empty batch")
-	}
-	jobs := make(chan job, p.cfg.Queue)
-	go func() {
-		for i, s := range scenes {
-			jobs <- job{idx: i, seed: oc.DeriveSeed(p.cfg.Seed, i), scene: s}
-		}
-		close(jobs)
-	}()
-	results := make([]Result, len(scenes))
-	stats := p.run(len(scenes), jobs, func(r Result) { results[r.Index] = r })
-	return results, stats, nil
+	return p.runBatch(len(scenes), func(i int) job {
+		return job{idx: i, seed: oc.DeriveSeed(p.cfg.Seed, i), scene: scenes[i]}
+	})
 }
 
 // SeededScene is a single-frame submission with an explicit base seed: the
@@ -564,18 +554,26 @@ type SeededScene struct {
 // Config.Seed is jobs[i].Seed — regardless of which other frames share the
 // batch or how many workers drain it.
 func (p *Pipeline) RunSeeded(batch []SeededScene) ([]Result, *Stats, error) {
-	if len(batch) == 0 {
+	return p.runBatch(len(batch), func(i int) job {
+		return job{idx: i, seed: FrameSeed(batch[i].Seed), scene: batch[i].Scene}
+	})
+}
+
+// runBatch is Run and RunSeeded: it runs the n jobs next makes, job i
+// for input i, and returns their results in input order.
+func (p *Pipeline) runBatch(n int, next func(i int) job) ([]Result, *Stats, error) {
+	if n == 0 {
 		return nil, nil, fmt.Errorf("pipeline: empty batch")
 	}
 	jobs := make(chan job, p.cfg.Queue)
 	go func() {
-		for i, s := range batch {
-			jobs <- job{idx: i, seed: FrameSeed(s.Seed), scene: s.Scene}
+		for i := range n {
+			jobs <- next(i)
 		}
 		close(jobs)
 	}()
-	results := make([]Result, len(batch))
-	stats := p.run(len(batch), jobs, func(r Result) { results[r.Index] = r })
+	results := make([]Result, n)
+	stats := p.run(n, jobs, func(r Result) { results[r.Index] = r })
 	return results, stats, nil
 }
 
@@ -586,21 +584,9 @@ func (p *Pipeline) RunSeeded(batch []SeededScene) ([]Result, *Stats, error) {
 // input. The result channel closes once the input channel is closed and
 // every in-flight frame has been emitted.
 func (p *Pipeline) Stream(in <-chan *sensor.Image) <-chan Result {
-	jobs := make(chan job, p.cfg.Queue)
-	out := make(chan Result, p.cfg.Queue)
-	go func() {
-		i := 0
-		for s := range in {
-			jobs <- job{idx: i, seed: oc.DeriveSeed(p.cfg.Seed, i), scene: s}
-			i++
-		}
-		close(jobs)
-	}()
-	go func() {
-		p.run(0, jobs, func(r Result) { out <- r })
-		close(out)
-	}()
-	return out
+	return stream(p, in, func(i int, s *sensor.Image) job {
+		return job{idx: i, seed: oc.DeriveSeed(p.cfg.Seed, i), scene: s}
+	})
 }
 
 // StreamSeeded processes independently-seeded scenes from a channel,
@@ -614,12 +600,21 @@ func (p *Pipeline) Stream(in <-chan *sensor.Image) <-chan Result {
 // Stream: the producer must close in, and the consumer must drain the
 // result channel fully to release the workers.
 func (p *Pipeline) StreamSeeded(in <-chan SeededScene) <-chan Result {
+	return stream(p, in, func(i int, s SeededScene) job {
+		return job{idx: i, seed: FrameSeed(s.Seed), scene: s.Scene}
+	})
+}
+
+// stream is Stream and StreamSeeded: it runs the job next makes of each
+// input in, job i for the i-th received, and emits results as frames
+// finish.
+func stream[T any](p *Pipeline, in <-chan T, next func(i int, s T) job) <-chan Result {
 	jobs := make(chan job, p.cfg.Queue)
 	out := make(chan Result, p.cfg.Queue)
 	go func() {
 		i := 0
 		for s := range in {
-			jobs <- job{idx: i, seed: FrameSeed(s.Seed), scene: s.Scene}
+			jobs <- next(i, s)
 			i++
 		}
 		close(jobs)

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -20,8 +21,11 @@ var (
 	errDraining = apiErr(http.StatusServiceUnavailable, CodeDraining, "draining, not accepting new work")
 )
 
-// batchItem is one request's trip through the micro-batcher.
+// batchItem is one request's trip through the micro-batcher. Once
+// submit accepts it, the batch owns scene. Once ctx, the request's
+// context, is done, nobody waits for the result.
 type batchItem struct {
+	ctx   context.Context
 	seed  int64
 	scene *sensor.Image
 	// done receives exactly one Result. It is buffered, so delivery never
@@ -162,7 +166,10 @@ func (b *batcher) drainRemaining() {
 }
 
 // dispatch runs one batch through the pipeline on its own goroutine,
-// bounded by the flight slots, and delivers each frame's result.
+// bounded by the flight slots, and delivers each frame's result. A frame
+// whose request has already ended is dropped unrun. Every scene goes
+// back to its pool before any result is delivered: results never alias
+// a scene.
 func (b *batcher) dispatch(batch []batchItem, trigger flushTrigger) {
 	b.slots <- struct{}{}
 	b.flushing.Add(1)
@@ -171,20 +178,29 @@ func (b *batcher) dispatch(batch []batchItem, trigger flushTrigger) {
 			<-b.slots
 			b.flushing.Done()
 		}()
-		b.m.flush(len(batch), trigger)
-		jobs := make([]pipeline.SeededScene, len(batch))
-		for i, it := range batch {
-			jobs[i] = pipeline.SeededScene{Seed: it.seed, Scene: it.scene}
-		}
-		results, _, err := b.pipe.RunSeeded(jobs)
-		if err != nil {
-			for _, it := range batch {
-				it.done <- pipeline.Result{Err: err}
+		live, jobs := batch[:0], make([]pipeline.SeededScene, 0, len(batch))
+		for _, it := range batch {
+			if it.ctx.Err() != nil {
+				putScene(it.scene)
+				continue
 			}
+			live = append(live, it)
+			jobs = append(jobs, pipeline.SeededScene{Seed: it.seed, Scene: it.scene})
+		}
+		b.m.flush(len(batch), len(batch)-len(live), trigger)
+		if len(live) == 0 {
 			return
 		}
-		for i, it := range batch {
-			it.done <- results[i]
+		results, _, err := b.pipe.RunSeeded(jobs)
+		for _, it := range live {
+			putScene(it.scene)
+		}
+		for i, it := range live {
+			res := pipeline.Result{Err: err}
+			if err == nil {
+				res = results[i]
+			}
+			it.done <- res
 		}
 	}()
 }

@@ -201,7 +201,6 @@ func TestStreamedKeyMatchesHashRequest(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				defer putScene(img)
 				parts := append(append([][]byte{}, op.parts...), floatBytes(img.Pix), dimBytes(img.H, img.W, img.C))
 				if want := hashRequest(op.tag, 0, parts...); key != want {
 					t.Fatalf("streamed key %x, want hashRequest's %x", key, want)

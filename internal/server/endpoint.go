@@ -76,18 +76,18 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 		// caching outright — injected faults are seed- and
 		// ladder-state-dependent, which the key does not capture.
 		cacheable := s.cache != nil && !s.chaos && (op.cacheAll || s.backend.Deterministic)
+		// The ingest holds the scene until submitFrame hands it to a
+		// batch, so its deferred release returns it on every other
+		// outcome.
 		img, key, err := op.scene(&in, cacheable)
 		if err != nil {
 			return http.StatusBadRequest, wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid image", err)
 		}
-		computed := false
-		status, err := s.respond(w, endpoint, start, cacheable, key, func() ([]byte, int, error) {
-			computed = true
+		return s.respond(w, endpoint, start, cacheable, key, func() ([]byte, int, error) {
 			seed := s.effectiveSeed(p.env().Seed)
 			var payload any
 			if op.b != nil {
-				// submitFrame owns the scene from here on.
-				res, status, err := s.submitFrame(r, op.b, seed, img)
+				res, status, err := s.submitFrame(r, op.b, seed, &in)
 				if err != nil {
 					return nil, status, err
 				}
@@ -98,12 +98,8 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 				if payload, err = op.encode(res); err != nil {
 					return nil, http.StatusInternalServerError, err
 				}
-			} else {
-				payload, err = op.direct(w, img, seed, start)
-				putScene(img)
-				if err != nil {
-					return nil, errStatus(err, http.StatusBadRequest), err
-				}
+			} else if payload, err = op.direct(w, img, seed, start); err != nil {
+				return nil, errStatus(err, http.StatusBadRequest), err
 			}
 			body, err := json.Marshal(payload)
 			if err != nil {
@@ -111,11 +107,6 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 			}
 			return body, http.StatusOK, nil
 		})
-		if !computed {
-			// A cache hit answered without reading the scene.
-			putScene(img)
-		}
-		return status, err
 	}
 }
 

@@ -98,12 +98,12 @@ func (e *Envelope) wireImages() [2]*ImageWire     { return [2]*ImageWire{&e.Scen
 func (r *InferRequest) wireImages() [2]*ImageWire { return [2]*ImageWire{r.Scene, r.Plane} }
 func (f *SessionFrame) wireImages() [2]*ImageWire { return [2]*ImageWire{&f.Scene} }
 
-// ingest is one decoded body. After the fast path, at is the wire image
-// whose pix_b64 value was streamed and at.Pix is empty. The value's
-// leading strides, base characters of it, were decoded on arrival into
-// pix's samples (nil when none were); body holds its raw bytes from
-// there on (for a valid value, its last partial stride, if any), which
-// scene decodes.
+// ingest is one decoded body, the request's one owner of its pooled
+// buffers. After the fast path, at is the wire image whose pix_b64 value
+// was streamed and at.Pix is empty. The value's leading strides, base
+// characters of it, were decoded on arrival into pix's samples (nil when
+// none were); body holds its raw bytes from there on (for a valid value,
+// its last partial stride, if any), which scene decodes into pix.
 type ingest struct {
 	at   *ImageWire
 	pix  *sensor.Image
@@ -111,14 +111,22 @@ type ingest struct {
 	base int
 }
 
-// release returns the ingest's buffers to their pools, if scene has not
-// already.
+// release returns the ingest's buffers to their pools: the body and the
+// scene, unless take handed the scene on.
 func (in *ingest) release() {
 	putBuf(&bodyPool, in.body)
 	if in.pix != nil {
 		putScene(in.pix)
 	}
 	in.body, in.pix = nil, nil
+}
+
+// take hands the ingest's scene to a new owner, which returns it to the
+// pool once nothing reads it.
+func (in *ingest) take() *sensor.Image {
+	im := in.pix
+	in.pix = nil
+	return im
 }
 
 // readEnvelope decodes r's body into v: streamed when v carries wire
@@ -553,9 +561,10 @@ func foldedKeys(b []byte) int {
 // same error with no image. When h is non-nil it also writes the raw
 // little-endian sample bytes to h as one writePart part. For the image
 // whose value was streamed, the samples decoded on arrival are joined
-// by the kept bytes' decode, and the ingest's buffers go back to their
-// pools.
-func (in *ingest) scene(w *ImageWire, h hash.Hash) (*sensor.Image, error) {
+// by the kept bytes' decode. The body goes back to its pool; the ingest
+// keeps the image, so release returns it too unless take hands it on.
+func (in *ingest) scene(w *ImageWire, h hash.Hash) (im *sensor.Image, err error) {
+	defer func() { in.release(); in.pix = im }()
 	if w != in.at {
 		raw, err := validateImageWire(*w)
 		if err != nil {
@@ -566,7 +575,6 @@ func (in *ingest) scene(w *ImageWire, h hash.Hash) (*sensor.Image, error) {
 		}
 		return imageFromRaw(*w, raw), nil
 	}
-	defer in.release()
 	if err := checkImageDims(*w); err != nil {
 		return nil, err
 	}
@@ -580,8 +588,7 @@ func (in *ingest) scene(w *ImageWire, h hash.Hash) (*sensor.Image, error) {
 		n, err := decodeStrides(rest, nil)
 		return nil, checkImagePix(*w, done+n, in.offset(err))
 	}
-	im := in.pix
-	in.pix = nil
+	im, in.pix = in.pix, nil
 	if im == nil {
 		im = getScene(w.H, w.W, w.C)
 	} else {
@@ -591,7 +598,7 @@ func (in *ingest) scene(w *ImageWire, h hash.Hash) (*sensor.Image, error) {
 		im.H, im.W, im.C, im.Pix = w.H, w.W, w.C, im.Pix[:want/8]
 	}
 	pix := im.Pix[done/8:]
-	_, err := decodeStrides(rest, func(b []byte) {
+	_, err = decodeStrides(rest, func(b []byte) {
 		samplesFromBytes(pix, b)
 		pix = pix[len(b)/8:]
 	})

@@ -44,7 +44,9 @@ func ingestProcess(t *testing.T, req *http.Request, body io.Reader, n int) {
 	if in.body != nil {
 		t.Fatal("the body buffer is still checked out after its scene was decoded")
 	}
-	putScene(img)
+	if in.pix != img {
+		t.Fatal("the ingest does not hold the scene it decoded")
+	}
 }
 
 // allocated returns the bytes f allocates.

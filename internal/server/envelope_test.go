@@ -112,7 +112,6 @@ func sameScene(t *testing.T, in *ingest, f *ImageWire, s ImageWire) {
 		return
 	}
 	simg := imageFromRaw(s, raw)
-	defer putScene(fimg)
 	defer putScene(simg)
 	if fimg.H != simg.H || fimg.W != simg.W || fimg.C != simg.C || len(fimg.Pix) != len(simg.Pix) {
 		t.Fatalf("scene is %dx%dx%d (%d samples) on the fast path, %dx%dx%d (%d) strictly",
@@ -535,11 +534,9 @@ func BenchmarkEnvelopeDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			img, err := in.scene(&req.Scene, nil)
-			if err != nil {
+			if _, err := in.scene(&req.Scene, nil); err != nil {
 				b.Fatal(err)
 			}
-			putScene(img)
 			in.release()
 		}
 	})
@@ -595,12 +592,12 @@ func TestStreamIgnoresClaimedLength(t *testing.T) {
 	if err != nil || in.at != &req.Scene {
 		t.Fatalf("decode: %v (fast path %v)", err, in.at != nil)
 	}
-	img, err := in.scene(&req.Scene, nil)
+	_, err = in.scene(&req.Scene, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	putScene(img)
+	in.release()
 	if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
 		t.Fatalf("a %d-byte body claiming %d bytes allocated %d bytes", len(body), maxBodyBytes, got)
 	}

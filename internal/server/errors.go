@@ -30,8 +30,9 @@ const (
 	CodeFrameFailed     = "frame_failed"
 	CodeInternal        = "internal"
 	// CodeDeadlineExceeded means the request outlived the configured
-	// per-request deadline (504): the work may still complete in its
-	// batch, but the response is gone.
+	// per-request deadline (504). A frame still waiting in the
+	// micro-batcher is dropped at flush; one whose batch has started
+	// completes, but the response is gone.
 	CodeDeadlineExceeded = "deadline_exceeded"
 	// CodeDegradedUnavailable means the accelerator is serving degraded
 	// output (retired rows / unrecovered ABFT detections) and the server

@@ -42,6 +42,7 @@ type metrics struct {
 	endpoints map[string]*epCounters
 	flushes   map[flushTrigger]int64
 	frames    int64 // frames that went through a micro-batch
+	expired   int64 // of those, frames dropped at flush, their request over
 	maxBatch  int
 	// sheds counts tiered-shedder drops by tier; deadlines counts 504s
 	// from the per-request deadline; degraded counts responses served
@@ -123,12 +124,14 @@ func (m *metrics) degradedResp() {
 	m.degraded++
 }
 
-// flush records one micro-batch dispatch.
-func (m *metrics) flush(n int, trigger flushTrigger) {
+// flush records one micro-batch dispatch of n frames, expired of which
+// were dropped because their request had already ended.
+func (m *metrics) flush(n, expired int, trigger flushTrigger) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.flushes[trigger]++
 	m.frames += int64(n)
+	m.expired += int64(expired)
 	if n > m.maxBatch {
 		m.maxBatch = n
 	}
@@ -158,6 +161,9 @@ type BatcherSnapshot struct {
 	DrainFlushes    int64 `json:"drain_flushes"`
 	BatchedFrames   int64 `json:"batched_frames"`
 	MaxBatch        int   `json:"max_batch"`
+	// ExpiredFrames counts batched frames dropped at flush, never run,
+	// because their request had already ended.
+	ExpiredFrames int64 `json:"expired_frames"`
 }
 
 // QueueSnapshot gauges one batched endpoint's admission state at
@@ -243,6 +249,7 @@ func (m *metrics) snapshot() MetricsSnapshot {
 			DrainFlushes:    m.flushes[flushDrain],
 			BatchedFrames:   m.frames,
 			MaxBatch:        m.maxBatch,
+			ExpiredFrames:   m.expired,
 		},
 	}
 	for tier, n := range m.sheds {
@@ -312,6 +319,7 @@ func renderProm(snap MetricsSnapshot) string {
 	}
 	fmt.Fprintf(&b, "lightator_batched_frames_total %d\n", snap.Batcher.BatchedFrames)
 	fmt.Fprintf(&b, "lightator_batch_max_size %d\n", snap.Batcher.MaxBatch)
+	fmt.Fprintf(&b, "lightator_batch_expired_frames_total %d\n", snap.Batcher.ExpiredFrames)
 	pipes := []struct {
 		name string
 		rep  pipeline.StatsReport

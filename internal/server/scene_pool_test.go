@@ -20,8 +20,8 @@ import (
 
 // TestFrameSceneAllocFreeOnEveryOutcome: every frame request hands the
 // scene it decoded back to the pool, whatever its outcome: a cache
-// miss, a cache hit (which decodes a scene it never reads) or an
-// invalid image, on each frame endpoint. A scene parked in the pool
+// miss, a cache hit (which decodes a scene it never reads), an invalid
+// image, a deadline expiry or a client cancel, on each frame endpoint. A scene parked in the pool
 // before a request is the one found there after it, so the next request
 // allocates none. The repeats still go miss, miss, hit.
 func TestFrameSceneAllocFreeOnEveryOutcome(t *testing.T) {
@@ -49,7 +49,7 @@ func TestFrameSceneAllocFreeOnEveryOutcome(t *testing.T) {
 			t.Fatalf("%s: the pooled scene did not come back (pool holds %p, parked %p)", name, got, parked)
 		}
 	}
-	for _, ep := range []struct {
+	endpoints := []struct {
 		name, path string
 		req        any
 	}{
@@ -58,7 +58,8 @@ func TestFrameSceneAllocFreeOnEveryOutcome(t *testing.T) {
 		{"process", "/v1/process", lightator.NewProcessRequest(scene, "edge", nil)},
 		{"infer-scene", "/v1/infer", lightator.InferRequest{Scene: &scene, Model: model}},
 		{"infer-plane", "/v1/infer", lightator.InferRequest{Plane: &plane, Model: model}},
-	} {
+	}
+	for _, ep := range endpoints {
 		for i, want := range []string{"miss", "miss", "hit"} {
 			expectParked(ep.name+" "+want, func() {
 				resp := postRaw(t, ts.URL+ep.path, ep.req)
@@ -91,6 +92,29 @@ func TestFrameSceneAllocFreeOnEveryOutcome(t *testing.T) {
 			if !strings.Contains(e.Detail+e.Message, "pixel data") {
 				t.Errorf("%s: error %+v does not name the pixel data", name, e)
 			}
+		})
+	}
+	// Requests that end while their frame is parked in the batcher, by
+	// the deadline or by the client: the flush drops the frame and
+	// returns its scene. The caches are off, so every request parks.
+	timed, timedTS := testServer(t, acc, lightator.ServeOptions{
+		Workers: 1, BatchDelay: 200 * time.Millisecond, RequestTimeout: 20 * time.Millisecond,
+		CacheEntries: -1, AgreementFrames: -1,
+	})
+	held, heldTS := testServer(t, acc, lightator.ServeOptions{
+		Workers: 1, BatchDelay: 200 * time.Millisecond, CacheEntries: -1, AgreementFrames: -1,
+	})
+	for i, ep := range endpoints[:4] {
+		expectParked(ep.name+" deadline", func() {
+			resp := postRaw(t, timedTS.URL+ep.path, ep.req)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusGatewayTimeout {
+				t.Fatalf("%s: status %d, want 504", ep.name, resp.StatusCode)
+			}
+			waitExpired(t, timed, int64(i+1))
+		})
+		expectParked(ep.name+" cancel", func() {
+			cancelParked(t, held, heldTS.URL+ep.path, ep.req)
 		})
 	}
 }

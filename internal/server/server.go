@@ -48,7 +48,6 @@ import (
 	"lightator/internal/energy"
 	"lightator/internal/oc"
 	"lightator/internal/pipeline"
-	"lightator/internal/sensor"
 	"lightator/internal/session"
 	"lightator/internal/trace"
 )
@@ -129,8 +128,9 @@ type Config struct {
 	// connection-level backpressure bound). Default 8.
 	SessionWindow int
 	// RequestTimeout bounds each compute request's wall time; a request
-	// that outlives it gets 504 deadline_exceeded (its frame may still
-	// complete inside the batch). 0 disables; negative also disables.
+	// that outlives it gets 504 deadline_exceeded, and its frame, if
+	// still waiting in the micro-batcher, is dropped at flush without
+	// being computed. 0 disables; negative also disables.
 	RequestTimeout time.Duration
 	// ReadHeaderTimeout and IdleTimeout harden the HTTP listener against
 	// slow-loris clients and idle keep-alive pile-ups. Defaults 10s and
@@ -623,16 +623,15 @@ func (s *Server) effectiveSeed(req *int64) int64 {
 	return s.backend.Seed
 }
 
-// submitFrame runs one scene through a batched endpoint: cache probe,
-// micro-batcher submission, and the wait for this frame's result. The
-// request context bounds the wait, so a departed client releases its
-// handler even though the frame itself still completes in the batch.
-// submitFrame owns the scene: it returns it to the pool once nothing can
-// read it, and leaves it to the garbage collector when the wait ends
-// before the frame's batch has run.
-func (s *Server) submitFrame(r *http.Request, b *batcher, seed int64, scene *sensor.Image) (pipeline.Result, int, error) {
+// submitFrame runs in's scene through a batched endpoint: the tier-1
+// shed, micro-batcher submission, and the wait for this frame's result.
+// Once the batcher accepts the frame, the scene is the batch's: dispatch
+// returns it to the pool after the batch has run, or, when the request's
+// context ended before the flush, without running it. Until then in
+// keeps it, and the handler's release returns it. The request context
+// bounds the wait.
+func (s *Server) submitFrame(r *http.Request, b *batcher, seed int64, in *ingest) (pipeline.Result, int, error) {
 	if s.draining.Load() {
-		putScene(scene)
 		return pipeline.Result{}, http.StatusServiceUnavailable, errDraining
 	}
 	// Tier-1 shed: reaching here means the cache did not answer, so this
@@ -640,22 +639,19 @@ func (s *Server) submitFrame(r *http.Request, b *batcher, seed int64, scene *sen
 	// (Tier-2/3 loads were already rejected at admission.)
 	if s.shedLevel() >= shedTierCacheMiss {
 		s.m.shed("cache_miss")
-		putScene(scene)
 		return pipeline.Result{}, http.StatusTooManyRequests, errShedCacheMiss
 	}
-	it := batchItem{seed: seed, scene: scene, done: make(chan pipeline.Result, 1)}
+	it := batchItem{ctx: r.Context(), seed: seed, scene: in.pix, done: make(chan pipeline.Result, 1)}
 	if err := b.submit(it); err != nil {
-		putScene(scene)
 		status := http.StatusTooManyRequests
 		if errors.Is(err, errDraining) {
 			status = http.StatusServiceUnavailable
 		}
 		return pipeline.Result{}, status, err
 	}
+	in.take() // accepted: the batch returns the scene
 	select {
 	case res := <-it.done:
-		// A result arrives only once its whole batch has run.
-		putScene(scene)
 		if res.Err != nil {
 			// Frame-level errors are bad inputs (e.g. scene/sensor size
 			// mismatch), surfaced per-frame by the pipeline.
@@ -664,8 +660,8 @@ func (s *Server) submitFrame(r *http.Request, b *batcher, seed int64, scene *sen
 		return res, http.StatusOK, nil
 	case <-r.Context().Done():
 		if errors.Is(r.Context().Err(), context.DeadlineExceeded) {
-			// The per-request deadline fired, not the client: the frame
-			// still completes inside its batch, only the response is gone.
+			// The per-request deadline fired, not the client. A frame
+			// still queued or parked is dropped at its flush.
 			return pipeline.Result{}, http.StatusGatewayTimeout,
 				wrapErr(http.StatusGatewayTimeout, CodeDeadlineExceeded, "request deadline exceeded", r.Context().Err())
 		}

@@ -372,6 +372,7 @@ func newFrameLines(r io.Reader, limit int) *frameLines {
 func (l *frameLines) frame() (*sensor.Image, error) {
 	var f SessionFrame
 	var in ingest
+	defer in.release()
 	ok, err := l.next()
 	if ok {
 		in, err = decodeStream(l, -1, &f)
@@ -386,11 +387,12 @@ func (l *frameLines) frame() (*sensor.Image, error) {
 	case err != nil:
 		return nil, wrapErr(http.StatusBadRequest, CodeBadRequest, "malformed frame line", err)
 	}
-	img, err := in.scene(&f.Scene, nil)
-	if err != nil {
+	if _, err := in.scene(&f.Scene, nil); err != nil {
 		return nil, wrapErr(http.StatusBadRequest, CodeInvalidImage, "invalid frame scene", err)
 	}
-	return img, nil
+	// The scene leaves the ingest for the stream's sceneQueue, which
+	// returns it once its frame's result is out.
+	return in.take(), nil
 }
 
 // peek returns the buffered bytes, reading once more first when fewer

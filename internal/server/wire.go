@@ -101,7 +101,9 @@ func checkImagePix(w ImageWire, decoded int, err error) error {
 
 // scenePool holds materialised request images for reuse. A 256x256 RGB
 // scene is 1.5 MB of float64 samples, the largest allocation a miss
-// makes; handleFrame returns a scene once nothing can still read it.
+// makes. Each scene has one owner at a time, which returns it: the
+// request's ingest, until the micro-batcher accepts the frame, then the
+// batch (dispatch); a session frame's scene, the stream's sceneQueue.
 var scenePool sync.Pool
 
 // getScene checks out an h×w×c image, reusing a pooled one with the

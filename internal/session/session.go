@@ -213,14 +213,6 @@ func (s *Session) NextIndex() int {
 	return s.next
 }
 
-// LastActive returns the last time the session opened, finished a
-// stream, or emitted a frame.
-func (s *Session) LastActive() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastActive
-}
-
 // Idle reports whether the session has been inactive past d at now.
 // A session with an active stream is never idle.
 func (s *Session) Idle(now time.Time, d time.Duration) bool {

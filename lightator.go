@@ -227,9 +227,11 @@ type Config struct {
 	FaultPlan *FaultPlan
 }
 
-// validate rejects configurations the deeper layers would only trip over
-// later (or with an opaque message).
-func (c Config) validate() error {
+// validate fills the sensor-size defaults and rejects every
+// configuration New would refuse, before New builds an array or a core,
+// so the deeper layers never trip over one later (or with an opaque
+// message).
+func (c *Config) validate() error {
 	p := c.Precision
 	if p.WBits < 1 || p.WBits > 8 {
 		return fmt.Errorf("lightator: weight precision %d bits outside [1,8] (paper: 4, 3 or 2)", p.WBits)
@@ -248,6 +250,18 @@ func (c Config) validate() error {
 	}
 	if c.CAPool != 0 && (c.CAPool%2 != 0 || c.CAPool < 2) {
 		return fmt.Errorf("lightator: CA pooling factor %d must be even and >= 2 (Bayer quads), or 0 to disable", c.CAPool)
+	}
+	if c.SensorRows == 0 {
+		c.SensorRows = sensor.DefaultRows
+	}
+	if c.SensorCols == 0 {
+		c.SensorCols = sensor.DefaultCols
+	}
+	if c.CAPool != 0 && (c.SensorRows%c.CAPool != 0 || c.SensorCols%c.CAPool != 0) {
+		return fmt.Errorf("lightator: sensor %dx%d not divisible by CA pool %d", c.SensorRows, c.SensorCols, c.CAPool)
+	}
+	if err := c.FaultPlan.Validate(); err != nil {
+		return fmt.Errorf("lightator: fault plan: %w", err)
 	}
 	return nil
 }
@@ -291,12 +305,6 @@ func New(cfg Config) (*Accelerator, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if cfg.SensorRows == 0 {
-		cfg.SensorRows = sensor.DefaultRows
-	}
-	if cfg.SensorCols == 0 {
-		cfg.SensorCols = sensor.DefaultCols
-	}
 	arr, err := sensor.NewArray(cfg.SensorRows, cfg.SensorCols)
 	if err != nil {
 		return nil, err
@@ -306,9 +314,6 @@ func New(cfg Config) (*Accelerator, error) {
 		return nil, err
 	}
 	if cfg.FaultPlan != nil {
-		if err := cfg.FaultPlan.Validate(); err != nil {
-			return nil, fmt.Errorf("lightator: fault plan: %w", err)
-		}
 		// Before any matrix programs: labelled matrices compile the plan's
 		// matching faults when they register (the CA below, kernels,
 		// models, the pipeline MVM).
@@ -319,9 +324,6 @@ func New(cfg Config) (*Accelerator, error) {
 		pipes: make(map[pipeKey]*Pipeline),
 	}
 	if cfg.CAPool != 0 {
-		if cfg.SensorRows%cfg.CAPool != 0 || cfg.SensorCols%cfg.CAPool != 0 {
-			return nil, fmt.Errorf("lightator: sensor %dx%d not divisible by CA pool %d", cfg.SensorRows, cfg.SensorCols, cfg.CAPool)
-		}
 		ca, err := oc.NewAcquisitor(core, cfg.CAPool)
 		if err != nil {
 			return nil, err

@@ -63,6 +63,11 @@ func TestConfigValidation(t *testing.T) {
 		{"unit ca pool", mod(func(c *Config) { c.CAPool = 1 }), false},
 		{"negative ca pool", mod(func(c *Config) { c.CAPool = -2 }), false},
 		{"negative sensor", mod(func(c *Config) { c.SensorRows = -1 }), false},
+		{"sensor not divisible by ca pool", mod(func(c *Config) { c.SensorRows, c.CAPool = 30, 4 }), false},
+		{"default sensor not divisible by ca pool", mod(func(c *Config) { c.SensorRows, c.CAPool = 0, 6 }), false},
+		{"invalid fault plan", mod(func(c *Config) {
+			c.FaultPlan = &FaultPlan{Faults: []Fault{{Kind: "melted", Target: "ca"}}}
+		}), false},
 	}
 	for _, c := range cases {
 		_, err := New(c.cfg)
@@ -71,6 +76,11 @@ func TestConfigValidation(t *testing.T) {
 		}
 		if !c.ok && err == nil {
 			t.Errorf("%s: invalid config accepted", c.name)
+		}
+		// validate alone refuses what New refuses, with the same text,
+		// before New builds anything.
+		if verr := c.cfg.validate(); (verr == nil) != (err == nil) || (err != nil && verr.Error() != err.Error()) {
+			t.Errorf("%s: validate says %v, New says %v", c.name, verr, err)
 		}
 	}
 }

@@ -158,8 +158,9 @@ type ServeOptions struct {
 	// the connection-level backpressure bound (default 8).
 	SessionWindow int
 	// RequestTimeout bounds each compute request's wall time; a request
-	// that outlives it answers 504 deadline_exceeded (its frame may still
-	// complete inside its batch). 0 or negative disables.
+	// that outlives it answers 504 deadline_exceeded, and its frame, if
+	// still waiting in the micro-batcher, is dropped at flush without
+	// being computed. 0 or negative disables.
 	RequestTimeout time.Duration
 	// ReadHeaderTimeout and IdleTimeout harden the HTTP listener against
 	// slow-loris clients and idle keep-alive pile-ups (defaults 10s and
