@@ -34,7 +34,8 @@ alloc:
 # /v1/infer and /v1/matvec handlers, the envelope decoder (fast path against strict JSON,
 # whole and split into reads at any offsets), the
 # session NDJSON stream and its line reader (held against the Scanner
-# reader it replaced; seed corpora in internal/server/testdata/fuzz). Each
+# reader it replaced; seed corpora in internal/server/testdata/fuzz), and
+# the image/frame response appenders (held against encoding/json). Each
 # target needs its own invocation: -fuzz accepts exactly one match.
 FUZZTIME ?= 10s
 fuzz:
@@ -47,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzEnvelopeStream$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSessionFrames$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzSessionLines$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/server -run '^$$' -fuzz '^FuzzImageResponse$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/fault -run '^$$' -fuzz '^FuzzFaultPlan$$' -fuzztime $(FUZZTIME)
 
 # Fail on broken relative links in the repo's markdown files.

@@ -180,18 +180,6 @@ func (r *Ring) QFactor(lam float64) float64 {
 	return lam / r.FWHM(lam)
 }
 
-// ExtinctionRatio returns the through-port extinction in dB: the ratio of
-// far-off-resonance transmission to on-resonance transmission.
-func (r *Ring) ExtinctionRatio(lam float64) float64 {
-	res := r.NearestResonance(lam)
-	onRes := r.ThroughTransmission(res)
-	offRes := r.ThroughTransmission(res + r.FSR(lam)/2)
-	if onRes <= 0 {
-		return math.Inf(1)
-	}
-	return Linear2DB(offRes / onRes)
-}
-
 // Tune applies a thermo-optic resonance shift of dLambda meters. Positive
 // shifts move the resonance to longer wavelengths (heating). Tuning is
 // absolute: calling Tune twice replaces the shift rather than accumulating.
@@ -239,12 +227,6 @@ func (t ThermalTuner) PowerForShift(dLambda float64) float64 {
 		return 0
 	}
 	return nm / t.NmPerMW * 1e-3
-}
-
-// ShiftForPower returns the resonance shift in meters produced by heater
-// power p watts.
-func (t ThermalTuner) ShiftForPower(p float64) float64 {
-	return p * 1e3 * t.NmPerMW * 1e-9
 }
 
 // ErrWeightRange is returned by SolveWeight when the requested weight is

@@ -126,14 +126,6 @@ func TestQFactorAndFWHMConsistency(t *testing.T) {
 	}
 }
 
-func TestExtinctionRatio(t *testing.T) {
-	r := WeightBankRing(CBandCenter)
-	er := r.ExtinctionRatio(CBandCenter)
-	if er < 20 {
-		t.Errorf("extinction ratio %g dB, want > 20 dB for a weight-bank ring", er)
-	}
-}
-
 func TestTuneShiftsResonance(t *testing.T) {
 	r := WeightBankRing(CBandCenter)
 	shift := 0.5e-9
@@ -201,17 +193,6 @@ func TestSolveWeightOutOfRange(t *testing.T) {
 	}
 	if _, err := r.SolveWeight(CBandCenter, -1.5); err == nil {
 		t.Fatal("expected range error for weight -1.5")
-	}
-}
-
-func TestThermalTunerReciprocity(t *testing.T) {
-	tn := DefaultThermalTuner()
-	for _, p := range []float64{0, 1e-6, 1e-4, 1e-3} {
-		shift := tn.ShiftForPower(p)
-		back := tn.PowerForShift(shift)
-		if math.Abs(back-p) > 1e-12 {
-			t.Errorf("power %g -> shift %g -> power %g", p, shift, back)
-		}
 	}
 }
 

@@ -57,51 +57,7 @@ func (v *VCSEL) ElectricalPower(i float64) float64 {
 	return i * v.ForwardVoltage
 }
 
-// CurrentForPower inverts the L-I curve: the drive current needed to emit
-// optical power p watts. Powers beyond the max-current point are clipped.
-func (v *VCSEL) CurrentForPower(p float64) float64 {
-	if p <= 0 {
-		return v.ThresholdCurrent
-	}
-	i := v.ThresholdCurrent + p/v.SlopeEfficiency
-	if i > v.MaxCurrent {
-		i = v.MaxCurrent
-	}
-	return i
-}
-
 // MaxOpticalPower returns the optical power at the maximum drive current.
 func (v *VCSEL) MaxOpticalPower() float64 {
 	return v.OpticalPower(v.MaxCurrent)
-}
-
-// ModulationLevels returns the n discrete optical power levels produced by
-// driving the VCSEL with k/(n-1) of the full modulation current swing,
-// k = 0..n-1. For Lightator n = 16 (4-bit activations). Level 0 emits zero
-// optical power (the driver holds the VCSEL at threshold).
-func (v *VCSEL) ModulationLevels(n int) []float64 {
-	if n < 2 {
-		n = 2
-	}
-	out := make([]float64, n)
-	swing := v.MaxCurrent - v.ThresholdCurrent
-	for k := 0; k < n; k++ {
-		i := v.ThresholdCurrent + swing*float64(k)/float64(n-1)
-		out[k] = v.OpticalPower(i)
-	}
-	return out
-}
-
-// LevelForCode returns the optical power for a b-bit activation code.
-func (v *VCSEL) LevelForCode(code, bits int) float64 {
-	n := 1 << uint(bits)
-	if code < 0 {
-		code = 0
-	}
-	if code > n-1 {
-		code = n - 1
-	}
-	swing := v.MaxCurrent - v.ThresholdCurrent
-	i := v.ThresholdCurrent + swing*float64(code)/float64(n-1)
-	return v.OpticalPower(i)
 }

@@ -284,42 +284,6 @@ func TestVCSELLICurve(t *testing.T) {
 	}
 }
 
-func TestVCSELModulationLevels(t *testing.T) {
-	v := DefaultVCSEL(CBandCenter)
-	levels := v.ModulationLevels(16)
-	if len(levels) != 16 {
-		t.Fatalf("got %d levels", len(levels))
-	}
-	if levels[0] != 0 {
-		t.Errorf("level 0 power %g, want 0", levels[0])
-	}
-	for i := 1; i < 16; i++ {
-		if levels[i] <= levels[i-1] {
-			t.Fatalf("levels not strictly increasing at %d", i)
-		}
-	}
-	// Uniform steps (linear L-I above threshold).
-	step := levels[1] - levels[0]
-	for i := 1; i < 16; i++ {
-		if math.Abs((levels[i]-levels[i-1])-step) > 1e-12 {
-			t.Fatalf("non-uniform step at %d", i)
-		}
-	}
-	if got := v.LevelForCode(15, 4); math.Abs(got-levels[15]) > 1e-15 {
-		t.Errorf("LevelForCode(15,4) = %g, want %g", got, levels[15])
-	}
-}
-
-func TestVCSELCurrentForPowerInverse(t *testing.T) {
-	v := DefaultVCSEL(CBandCenter)
-	for _, p := range []float64{1e-5, 1e-4, 5e-4, 1e-3} {
-		i := v.CurrentForPower(p)
-		if math.Abs(v.OpticalPower(i)-p) > 1e-12 {
-			t.Errorf("power %g -> current %g -> power %g", p, i, v.OpticalPower(i))
-		}
-	}
-}
-
 func TestPhotodetectorCurrent(t *testing.T) {
 	d := DefaultPhotodetector()
 	if got := d.Current(0); math.Abs(got-d.DarkCurrent) > 1e-18 {

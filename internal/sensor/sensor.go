@@ -175,9 +175,3 @@ func (a *Array) Capture(scene *Image) (*Frame, error) {
 	}
 	return f, nil
 }
-
-// ComparisonsPerFrame returns the number of comparator evaluations one
-// full-frame readout performs — the activity factor the energy model uses.
-func (a *Array) ComparisonsPerFrame() int {
-	return a.Rows * a.Cols * analog.NumComparators
-}

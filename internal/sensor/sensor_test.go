@@ -101,9 +101,6 @@ func TestArrayDefaultDimensions(t *testing.T) {
 	if a.Rows != 256 || a.Cols != 256 {
 		t.Fatalf("default array %dx%d, want 256x256", a.Rows, a.Cols)
 	}
-	if a.ComparisonsPerFrame() != 256*256*15 {
-		t.Errorf("comparisons per frame %d", a.ComparisonsPerFrame())
-	}
 }
 
 func TestArrayValidation(t *testing.T) {

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
@@ -72,8 +73,9 @@ func hashRequest(endpoint string, seed int64, parts ...[]byte) cacheKey {
 }
 
 // keyHash starts a cache key: the endpoint tag and the effective seed.
-// Parts follow through writePart, or as writeUint64 of their length and
-// then their bytes when they arrive in pieces (ingest.scene).
+// Parts follow through writePart, or through writeSamplePart when they
+// are float64 samples, whose bytes it writes a stride at a time
+// (ingest.scene, the matvec key).
 func keyHash(endpoint string, seed int64) hash.Hash {
 	h := sha256.New()
 	h.Write([]byte(endpoint))
@@ -119,10 +121,11 @@ func (c *responseCache) get(key cacheKey) ([]byte, bool) {
 }
 
 // put records a sighting of key with its body: the first stores the key
-// alone, a later one the body. It then evicts least recently used
-// entries while the entry bound is exceeded, and least recently used
-// bodies while the byte bound is. Bodies larger than the whole byte
-// budget are not cached at all.
+// alone, a later one a copy of the body, so the cache never holds a
+// caller's buffer (a frame endpoint's body is pooled). It then evicts
+// least recently used entries while the entry bound is exceeded, and
+// least recently used bodies while the byte bound is. Bodies larger
+// than the whole byte budget are not cached at all.
 func (c *responseCache) put(key cacheKey, body []byte) {
 	if c == nil || len(body) > c.maxBytes {
 		return
@@ -136,7 +139,7 @@ func (c *responseCache) put(key cacheKey, body []byte) {
 			c.bodies++
 		}
 		c.bytes += len(body) - len(e.body)
-		e.body = body
+		e.body = bytes.Clone(body)
 	} else {
 		c.items[key] = c.ll.PushFront(&cacheEntry{key: key})
 	}

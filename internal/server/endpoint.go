@@ -38,8 +38,8 @@ type frameOp struct {
 	// direct computes the payload inline (the plane-infer path).
 	b      *batcher
 	direct func(w http.ResponseWriter, img *sensor.Image, seed int64, start time.Time) (any, error)
-	// encode turns a batched pipeline result into the response payload.
-	encode func(res pipeline.Result) (any, error)
+	// encode appends a batched pipeline result's response body to dst.
+	encode func(dst []byte, res pipeline.Result) ([]byte, error)
 }
 
 // envelopeRequest constrains frame requests to pointer types exposing
@@ -85,26 +85,33 @@ func handleFrame[Req any, P envelopeRequest[Req]](s *Server, endpoint string, re
 		}
 		return s.respond(w, endpoint, start, cacheable, key, func() ([]byte, int, error) {
 			seed := s.effectiveSeed(p.env().Seed)
-			var payload any
-			if op.b != nil {
-				res, status, err := s.submitFrame(r, op.b, seed, &in)
+			if op.b == nil {
+				payload, err := op.direct(w, img, seed, start)
 				if err != nil {
-					return nil, status, err
+					return nil, errStatus(err, http.StatusBadRequest), err
 				}
-				s.traceFrame(w, endpoint, op.target, start, res)
-				if res.Degraded {
-					s.flagDegraded(w)
-				}
-				if payload, err = op.encode(res); err != nil {
+				body, err := json.Marshal(payload)
+				if err != nil {
 					return nil, http.StatusInternalServerError, err
 				}
-			} else if payload, err = op.direct(w, img, seed, start); err != nil {
-				return nil, errStatus(err, http.StatusBadRequest), err
+				return body, http.StatusOK, nil
 			}
-			body, err := json.Marshal(payload)
+			res, status, err := s.submitFrame(r, op.b, seed, &in)
+			if err != nil {
+				return nil, status, err
+			}
+			s.traceFrame(w, endpoint, op.target, start, res)
+			if res.Degraded {
+				s.flagDegraded(w)
+			}
+			// The body is appended into the ingest's pooled buffer, which
+			// the deferred release returns once respond has written it.
+			in.resp = getBuf(&respPool, 0)
+			body, err := op.encode(*in.resp, res)
 			if err != nil {
 				return nil, http.StatusInternalServerError, err
 			}
+			*in.resp = body
 			return body, http.StatusOK, nil
 		})
 	}
@@ -134,8 +141,8 @@ func (op *frameOp) scene(in *ingest, keyed bool) (*sensor.Image, cacheKey, error
 func (s *Server) captureOp(req *CaptureRequest) (frameOp, error) {
 	return frameOp{
 		tag: "capture", cacheAll: true, input: &req.Scene, b: s.routes["capture"].b,
-		encode: func(res pipeline.Result) (any, error) {
-			return CaptureResponse{Frame: EncodeFrame(res.Frame), Degraded: res.Degraded}, nil
+		encode: func(dst []byte, res pipeline.Result) ([]byte, error) {
+			return appendCaptureResponse(dst, res.Frame, res.Degraded), nil
 		},
 	}, nil
 }
@@ -148,8 +155,8 @@ func (s *Server) compressOp(req *CompressRequest) (frameOp, error) {
 	}
 	return frameOp{
 		tag: "compress", input: &req.Scene, b: rt.b,
-		encode: func(res pipeline.Result) (any, error) {
-			return CompressResponse{Image: EncodeImage(res.Compressed), Degraded: res.Degraded}, nil
+		encode: func(dst []byte, res pipeline.Result) ([]byte, error) {
+			return appendImageResponse(dst, "image", res.Compressed, res.Degraded), nil
 		},
 	}, nil
 }
@@ -169,8 +176,8 @@ func (s *Server) processOp(req *ProcessRequest) (frameOp, error) {
 	return frameOp{
 		target: kernel, tag: "process", parts: [][]byte{[]byte(kernel)},
 		input: &req.Envelope.Scene, b: rt.b,
-		encode: func(res pipeline.Result) (any, error) {
-			return ProcessResponse{Plane: EncodeImage(res.Processed), Degraded: res.Degraded}, nil
+		encode: func(dst []byte, res pipeline.Result) ([]byte, error) {
+			return appendImageResponse(dst, "plane", res.Processed, res.Degraded), nil
 		},
 	}, nil
 }
@@ -194,8 +201,9 @@ func (s *Server) inferOp(req *InferRequest) (frameOp, error) {
 		return frameOp{
 			target: model, tag: "infer-scene", parts: [][]byte{[]byte(model)},
 			input: req.Scene, b: rt.b,
-			encode: func(res pipeline.Result) (any, error) {
-				return InferResponse{Model: model, Logits: res.Logits, Class: infer.Argmax(res.Logits), Degraded: res.Degraded}, nil
+			encode: func(dst []byte, res pipeline.Result) ([]byte, error) {
+				body, err := json.Marshal(InferResponse{Model: model, Logits: res.Logits, Class: infer.Argmax(res.Logits), Degraded: res.Degraded})
+				return append(dst, body...), err
 			},
 		}, nil
 	}

@@ -103,22 +103,25 @@ func (f *SessionFrame) wireImages() [2]*ImageWire { return [2]*ImageWire{&f.Scen
 // was streamed and at.Pix is empty. The value's leading strides, base
 // characters of it, were decoded on arrival into pix's samples (nil when
 // none were); body holds its raw bytes from there on (for a valid value,
-// its last partial stride, if any), which scene decodes into pix.
+// its last partial stride, if any), which scene decodes into pix. resp
+// is the response body a frame endpoint appends (handleFrame).
 type ingest struct {
 	at   *ImageWire
 	pix  *sensor.Image
 	body *[]byte
 	base int
+	resp *[]byte
 }
 
-// release returns the ingest's buffers to their pools: the body and the
-// scene, unless take handed the scene on.
+// release returns the ingest's buffers to their pools: the body, the
+// scene, unless take handed the scene on, and the response body.
 func (in *ingest) release() {
 	putBuf(&bodyPool, in.body)
 	if in.pix != nil {
 		putScene(in.pix)
 	}
-	in.body, in.pix = nil, nil
+	putBuf(&respPool, in.resp)
+	in.body, in.pix, in.resp = nil, nil, nil
 }
 
 // take hands the ingest's scene to a new owner, which returns it to the
@@ -607,8 +610,7 @@ func (in *ingest) scene(w *ImageWire, h hash.Hash) (im *sensor.Image, err error)
 		return nil, checkImagePix(*w, 0, in.offset(err))
 	}
 	if h != nil {
-		writeUint64(h, uint64(want))
-		writeSamples(h, im.Pix)
+		writeSamplePart(h, im.Pix)
 	}
 	return im, nil
 }
@@ -637,9 +639,10 @@ func samplesToBytes(dst []byte, xs []float64) {
 	}
 }
 
-// writeSamples writes the little-endian bytes of xs to h, a stride's
-// worth at a time.
-func writeSamples(h hash.Hash, xs []float64) {
+// writeSamplePart writes the little-endian bytes of xs to h as one
+// writePart part, a stride's worth at a time.
+func writeSamplePart(h hash.Hash, xs []float64) {
+	writeUint64(h, uint64(8*len(xs)))
 	var raw [b64Stride / 4 * 3]byte
 	for len(xs) > 0 {
 		k := min(len(xs), len(raw)/8)

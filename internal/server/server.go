@@ -671,9 +671,10 @@ func (s *Server) submitFrame(r *http.Request, b *batcher, seed int64, in *ingest
 
 // respond is the shared cache-or-compute tail of every compute endpoint:
 // probe the cache when use is set (recording hit/miss), otherwise run
-// compute, cache the marshaled body (when use) and write it. Keeping this
-// in one place guarantees hit and miss responses are the same bytes on
-// every endpoint. (Trace/cache headers differ between hit and miss by
+// compute, cache the body (when use; the cache keeps a copy, so compute
+// may return a pooled buffer) and write it. Keeping this in one place
+// guarantees hit and miss responses are the same bytes on every
+// endpoint. (Trace/cache headers differ between hit and miss by
 // design; the byte-identity contract covers bodies.) start is the
 // request's arrival time, stamped onto the cache-hit trace.
 func (s *Server) respond(w http.ResponseWriter, endpoint string, start time.Time, use bool, key cacheKey, compute func() ([]byte, int, error)) (int, error) {
@@ -745,12 +746,12 @@ func (s *Server) handleMatVec(w http.ResponseWriter, r *http.Request) (int, erro
 	cacheable := s.cache != nil && s.backend.Deterministic && !s.chaos && !s.degraded()
 	var key cacheKey
 	if cacheable {
-		parts := make([][]byte, 0, len(req.Weights)+1)
+		h := keyHash("matvec", 0)
 		for _, row := range req.Weights {
-			parts = append(parts, floatBytes(row))
+			writeSamplePart(h, row)
 		}
-		parts = append(parts, floatBytes(req.Activations))
-		key = hashRequest("matvec", 0, parts...)
+		writeSamplePart(h, req.Activations)
+		key = sumKey(h)
 	}
 	return s.respond(w, "/v1/matvec", start, cacheable, key, func() ([]byte, int, error) {
 		if s.draining.Load() {

@@ -224,30 +224,42 @@ func (s *Server) handleSessionFrames(w http.ResponseWriter, r *http.Request) (in
 	enc := json.NewEncoder(w)
 	wrote := false
 	kind := sess.Config().Kind
+	// Compress and process records are appended into one pooled buffer
+	// per stream and written with one Write, as enc.Encode writes a
+	// record; infer and error records take enc.Encode.
+	var out *[]byte
+	defer func() { putBuf(&respPool, out) }()
 	emit := func(fr session.FrameResult) error {
 		sent.done()
-		rec := SessionResult{Index: fr.Index, BlocksTotal: fr.Blocks, BlocksReused: fr.Reused, Degraded: s.degraded()}
-		if rec.Degraded {
+		degraded := s.degraded()
+		if degraded {
 			s.m.degradedResp()
 		}
-		if fr.Err != nil {
-			eb := errorBody(http.StatusBadRequest, wrapErr(http.StatusBadRequest, CodeFrameFailed, "frame failed", fr.Err))
-			rec.Error = &eb
-		} else {
-			switch kind {
-			case session.KindCompress:
-				iw := EncodeImage(fr.Compressed)
-				rec.Image = &iw
-			case session.KindProcess:
-				iw := EncodeImage(fr.Plane)
-				rec.Plane = &iw
-			case session.KindInfer:
+		var err error
+		switch {
+		case fr.Err == nil && kind != session.KindInfer:
+			name, im := "plane", fr.Plane
+			if kind == session.KindCompress {
+				name, im = "image", fr.Compressed
+			}
+			if out == nil {
+				out = getBuf(&respPool, 0)
+			}
+			*out = appendSessionImage((*out)[:0], name, im, fr, degraded)
+			_, err = w.Write(*out)
+		default:
+			rec := SessionResult{Index: fr.Index, BlocksTotal: fr.Blocks, BlocksReused: fr.Reused, Degraded: degraded}
+			if fr.Err != nil {
+				eb := errorBody(http.StatusBadRequest, wrapErr(http.StatusBadRequest, CodeFrameFailed, "frame failed", fr.Err))
+				rec.Error = &eb
+			} else {
 				rec.Logits = fr.Logits
 				class := infer.Argmax(fr.Logits)
 				rec.Class = &class
 			}
+			err = enc.Encode(rec)
 		}
-		if err := enc.Encode(rec); err != nil {
+		if err != nil {
 			return err
 		}
 		wrote = true

@@ -83,12 +83,14 @@ func (w *lineCounter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// sessionStreamer opens edge sessions on a 256x256 server and streams
-// frame bodies through the handler in process.
+// sessionStreamer opens process sessions of one kernel (edge unless
+// set) on a 256x256 server and streams frame bodies through the handler
+// in process.
 type sessionStreamer struct {
-	t    *testing.T
-	h    http.Handler
-	line []byte
+	t      *testing.T
+	h      http.Handler
+	line   []byte
+	kernel string
 }
 
 func newSessionStreamer(t *testing.T) *sessionStreamer {
@@ -109,14 +111,14 @@ func newSessionStreamer(t *testing.T) *sessionStreamer {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &sessionStreamer{t: t, h: srv.Handler(), line: append(line, '\n')}
+	return &sessionStreamer{t: t, h: srv.Handler(), line: append(line, '\n'), kernel: "edge"}
 }
 
-// stream opens an edge session with the given in-flight window (0 for
+// stream opens a session with the given in-flight window (0 for
 // the server's) and posts body as its frame stream through w.
 func (s *sessionStreamer) stream(ctx context.Context, window int, body io.Reader, w *lineCounter) {
 	s.t.Helper()
-	open := serveRecorded(s.h, http.MethodPost, "/v1/session", strings.NewReader(fmt.Sprintf(`{"kind":"process","kernel":"edge","seed":7,"window":%d}`, window)))
+	open := serveRecorded(s.h, http.MethodPost, "/v1/session", strings.NewReader(fmt.Sprintf(`{"kind":"process","kernel":%q,"seed":7,"window":%d}`, s.kernel, window)))
 	var sr server.SessionResponse
 	if open.Code != http.StatusOK || json.Unmarshal(open.Body.Bytes(), &sr) != nil {
 		s.t.Fatalf("open session: %d %s", open.Code, open.Body.String())

@@ -32,19 +32,14 @@ type FrameWire struct {
 	Codes string `json:"codes_b64"`
 }
 
-// floatBytes returns the little-endian byte representation of xs.
-func floatBytes(xs []float64) []byte {
-	buf := make([]byte, 8*len(xs))
-	samplesToBytes(buf, xs)
-	return buf
-}
-
-// EncodeImage converts an image to its wire form.
+// EncodeImage converts an image to its wire form. Its one allocation is
+// the returned string: the samples are encoded into a pooled buffer by
+// the appender the server's responses use.
 func EncodeImage(im *sensor.Image) ImageWire {
-	return ImageWire{
-		H: im.H, W: im.W, C: im.C,
-		Pix: base64.StdEncoding.EncodeToString(floatBytes(im.Pix)),
-	}
+	p := getBuf(&respPool, 0)
+	defer putBuf(&respPool, p)
+	*p = appendSamples(*p, im.Pix)
+	return ImageWire{H: im.H, W: im.W, C: im.C, Pix: string(*p)}
 }
 
 // DecodeImage validates and converts a wire image back to a sensor.Image.
@@ -63,7 +58,7 @@ func DecodeImage(w ImageWire) (*sensor.Image, error) {
 const maxWireDim = 1 << 16
 
 // validateImageWire checks dims and decodes the base64 payload, returning
-// the raw little-endian sample bytes (identical to floatBytes of the
+// the raw little-endian sample bytes (what samplesToBytes writes for the
 // decoded image). It is the strict path: the decode of every image the
 // envelope decoder's fast path did not stream, and the oracle that
 // path is tested against (envelope_test.go).

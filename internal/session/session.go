@@ -206,13 +206,6 @@ func (s *Session) Stats() Stats {
 	return s.stats.frac()
 }
 
-// NextIndex returns the next frame's seed-chain index.
-func (s *Session) NextIndex() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.next
-}
-
 // Idle reports whether the session has been inactive past d at now.
 // A session with an active stream is never idle.
 func (s *Session) Idle(now time.Time, d time.Duration) bool {

@@ -292,7 +292,10 @@ func TestSeedChainResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := s.NextIndex(); got != 5 {
+	s.mu.Lock()
+	got := s.next
+	s.mu.Unlock()
+	if got != 5 {
 		t.Fatalf("next index %d after 5 frames, want 5", got)
 	}
 	all := append(first, second...)
